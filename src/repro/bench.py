@@ -405,9 +405,7 @@ def _serve_degraded(
     from .serve import ServeConfig, SimulationServer
 
     async def _run() -> tuple[float, int, dict]:
-        config = ServeConfig(
-            workers=2, batch_window=0.0, shard_min_points=2, supervised=True
-        )
+        config = ServeConfig(workers=2, batch_window=0.0, shard_min_points=2)
         async with SimulationServer(config) as server:
             stop = threading.Event()
             rng = _random.Random(0xDE6)

@@ -16,7 +16,7 @@ cheapest sufficient source, in this order:
    distinct ``P`` and replays the whole batch through the vectorized
    compiled-grid evaluator.  Batches past ``shard_min_points`` per
    worker are split into contiguous chunks and sharded across the
-   persistent :class:`repro.sim.sweep.WorkerPool`.
+   persistent :class:`repro.sim.supervise.SupervisedPool`.
 
 The determinism contract: every served pair is bit-identical to what
 the serial loop ``[run(point) for point in points]`` produces, whether
@@ -49,7 +49,7 @@ from typing import Iterable, Sequence
 
 from ..core import LogGPParams, LogPParams
 from ..sim.supervise import SupervisedPool
-from ..sim.sweep import WorkerPool, grid_map, resolve_workers, sweep_map
+from ..sim.sweep import grid_map, resolve_workers, sweep_map
 from .cache import CacheKey, CachePersistence, ResultCache, point_key
 from .registry import build, canonical_args, fingerprint, get_family
 
@@ -319,13 +319,13 @@ class ServeConfig:
     smallest per-worker share of a batch worth a process dispatch —
     the server-side analogue of the scheduler's ``min_chunk``.
 
-    The robustness knobs: ``supervised`` puts sharded batches on a
+    With ``use_pool``, sharded batches run on a
     :class:`~repro.sim.supervise.SupervisedPool` (worker death is
-    detected, retried, and quarantined) instead of a bare
-    :class:`~repro.sim.sweep.WorkerPool`; ``max_pending_points`` bounds
-    admission (``None`` = unbounded — a request that would push the
-    in-flight point count past the bound is refused with
-    :class:`ServerOverloaded`, never queued into a silent hang);
+    detected, retried, and quarantined).  The robustness knobs:
+    ``max_pending_points`` bounds admission (``None`` = unbounded — a
+    request that would push the in-flight point count past the bound is
+    refused with :class:`ServerOverloaded`, never queued into a silent
+    hang);
     ``default_deadline`` applies to jobs that don't carry their own;
     ``cache_dir`` enables cache persistence (write-ahead journal +
     snapshot every ``snapshot_every`` records, replayed on restart).
@@ -336,7 +336,6 @@ class ServeConfig:
     shard_min_points: int = 512
     cache_entries: int = 65_536
     use_pool: bool = True
-    supervised: bool = True
     max_pending_points: int | None = None
     default_deadline: float | None = None
     cache_dir: str | None = None
@@ -501,7 +500,7 @@ def _eval_batch(
     *,
     workers: int,
     shard_min_points: int,
-    pool: WorkerPool | SupervisedPool | None,
+    pool: SupervisedPool | None,
 ):
     """One coalesced batch: shard across the pool when big enough.
 
@@ -547,14 +546,9 @@ class SimulationServer:
         self.cache = ResultCache(self.config.cache_entries)
         self.workers = resolve_workers(self.config.workers)
         if self.config.use_pool and self.workers > 1:
-            # Supervised by default: a SIGKILLed pool worker (OOM, chaos)
-            # is restarted and its chunk retried instead of wedging the
-            # batch; results are bit-identical either way.
-            self._pool = (
-                SupervisedPool(self.workers)
-                if self.config.supervised
-                else WorkerPool(self.workers)
-            )
+            # A SIGKILLed pool worker (OOM, chaos) is restarted and its
+            # chunk retried instead of wedging the batch.
+            self._pool = SupervisedPool(self.workers)
         else:
             self._pool = None
         self._inflight: dict[CacheKey, asyncio.Future] = {}

@@ -11,13 +11,17 @@ then be evaluated:
   :func:`evaluate` (:mod:`.evaluator`);
 * across a whole ``(L, o, g)`` grid with :func:`evaluate_grid`
   (:mod:`.grid`), which records one evaluation as a *tape* of float
-  operations and branch constraints and replays it vectorized (numpy
-  when available) over every grid point whose control flow matches,
+  operations and branch constraints and replays it vectorized with
+  numpy over every grid point whose control flow matches,
   re-recording for the points where it does not;
 * across a ``(point, seed)`` product with :func:`evaluate_seed_grid`:
   seeded latency draws become per-column tape inputs, so a 500-seed
   sweep replays as one vectorized evaluation instead of 500 machine
   runs.
+
+Both are the same code: the machine's handlers are written once
+(:mod:`.evaluator`) and run in a float domain for :func:`evaluate` and
+a recording domain for the tape.
 
 Eligibility is deterministic timing: any latency model honouring the
 ``reset()`` reproducibility contract (bare or in a ``LatencyFabric``)

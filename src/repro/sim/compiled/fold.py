@@ -83,16 +83,30 @@ max/add expressions — are point-universally exact.  ``words == 1``
 tree traffic provably never stalls: count ≤ ⌈L/si⌉ − 1 < capacity
 since ``si ≥ g``.
 
+One walk, two domains
+---------------------
+The class walk is written once (:class:`_FoldWalk`) against the same
+arithmetic hooks as the machine's handler core
+(:mod:`.evaluator`): :func:`evaluate_folded` runs it on plain floats,
+:func:`evaluate_folded_grid` records it as a tape and replays it
+through the grid driver (:func:`.grid._cover`).  Timing settings go
+through the one resolver every entry point shares
+(:func:`.evaluator._resolve_timing`), so a bad setting gets the same
+error and text here as on the unfolded paths; refusals that come from
+folding itself stay :class:`FoldError`.
+
 ``tests/test_fold.py`` pins class counts per family, bit-identity
 folded ≡ unfolded ≡ machine at small P, and the huge-P scaling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass
+from typing import Any, Sequence
 
-from ..latency import FixedLatency
+import numpy as np
+
+from .backend import fold_ineligibility
 from .compiler import (
     OP_BARRIER,
     OP_COMPUTE,
@@ -103,26 +117,23 @@ from .compiler import (
     OP_SLEEP,
     CompiledProgram,
 )
+from .evaluator import (
+    _T_LIT,
+    _T_O,
+    _T_SI,
+    _FloatArith,
+    _fixed_flight,
+    _resolve_timing,
+)
 from .grid import (
     _C_CAP,
     _C_LE,
     _C_LT,
-    _I_ADD,
     _I_CONST,
-    _I_MAX,
-    _I_WADD,
-    _T_L,
-    _T_LIT,
-    _T_O,
-    _T_SI,
     GridResult,
-    _Tape,
-    _grid_timing,
-    _np,
-    _raw_point,
-    _replay_numpy,
-    _replay_python,
-    _resolve_use_numpy,
+    _cover,
+    _raw_points,
+    _TapeArith,
 )
 
 __all__ = [
@@ -164,8 +175,13 @@ def _dyadic(x: float) -> bool:
     return -_MAGNITUDE <= x <= _MAGNITUDE and (x * _GRAIN).is_integer()
 
 
-def _check_point_dyadic(L: float, o: float, g: float, si: float) -> None:
-    for name, v in (("L", L), ("o", o), ("g", g), ("send_interval", si)):
+def _check_point_dyadic(p) -> None:
+    for name, v in (
+        ("L", float(p.L)),
+        ("o", float(p.o)),
+        ("g", float(p.g)),
+        ("send_interval", float(p.send_interval)),
+    ):
         if not _dyadic(v):
             raise FoldError(
                 f"non-dyadic parameter {name}={v}: folding guarantees "
@@ -661,120 +677,234 @@ class FoldedResult:
         return [cf[folded.class_index(r)] for r in range(n)]
 
 
-def _resolve_flight(params, L, latency, fabric):
-    """Fixed per-message flight time, or a :class:`FoldError`."""
-    given = sum(x is not None for x in (L, latency, fabric))
-    if given > 1:
-        raise ValueError(
-            "give at most one of L=, latency=, fabric="
-        )
-    if fabric is not None:
-        lossy = getattr(fabric, "lossy", False)
-        if lossy:
-            raise FoldError(
-                "lossy fabrics retry on timeout — use the event "
-                "machine"
-            )
-        model = getattr(fabric, "model", None)
-        if model is None:
-            raise FoldError(
-                "topology fabrics route per (src, dst) pair — flight "
-                "is not class-invariant"
-            )
-        latency = model
-    if latency is not None:
-        if type(latency) is not FixedLatency:
-            raise FoldError(
-                "seeded latency models draw per message in event "
-                "order — draws are not class-invariant"
-            )
-        flight = float(latency.L)
-        if flight > params.L + 1e-12:
-            raise ValueError(
-                f"latency model bound {flight} exceeds L={params.L}"
-            )
-        return flight
-    if L is not None:
-        flight = float(L)
-        if flight > params.L + 1e-12:
-            raise ValueError(
-                f"fixed latency L={flight} exceeds params.L={params.L}"
-            )
-        return flight
-    return float(params.L)
+def _fold_timing(points, L, latency, fabric, compute_jitter) -> tuple:
+    """Resolve the timing configuration of a folded evaluation.
 
-
-def _scalar_walk(
-    cls: RankClass,
-    arrival: float | None,
-    o: float,
-    si: float,
-    flight: float,
-    cap: int,
-    enforce: bool,
-):
-    """One class's schedule at fixed parameters.
-
-    Returns ``(finished_at, last_activity, send_arrivals)``.  Raises
-    :class:`FoldError` on a capacity stall or an arrival/inject tie
-    whose event order would depend on scheduler seq numbers.
+    First the shared validation (:func:`.evaluator._resolve_timing`),
+    so a bad setting raises the same error, with the same text, as on
+    every other entry point.  Then fold's own refusals, as
+    :class:`FoldError`: flight that is not class-invariant (the reason
+    from :func:`.backend.fold_ineligibility`, naming the model or
+    fabric given), and points or flight outside the dyadic-exactness
+    guard.  Returns the timing spec (``params`` or ``const``).
     """
-    skel = cls.skeleton
-    has_recv = bool(skel) and skel[0][0] == OP_RECV
-    if has_recv:
-        now = arrival + o
-        la = now
-    else:
-        now = 0.0
-        la = 0.0
-    last_send = None
-    end = None
-    arrs: list = []
-    released = 0
-    last_kind = skel[0][0] if skel else None
-    for op in skel[1 if has_recv else 0 :]:
-        k = op[0]
-        last_kind = k
-        if k == OP_COMPUTE:
-            now = now + op[1]
-            la = now
-        elif k == OP_SLEEP:
-            now = now + op[1]
-        else:  # OP_SEND
-            if last_send is None:
-                start = now
+    timing = _resolve_timing(points, L, latency, fabric)
+    reason = fold_ineligibility(
+        latency=latency, fabric=fabric, compute_jitter=compute_jitter
+    )
+    if reason is not None:
+        raise FoldError(reason)
+    for p in points:
+        _check_point_dyadic(p)
+    if timing[0] == "const" and not _dyadic(timing[1]):
+        raise FoldError(
+            f"non-dyadic flight time {timing[1]} — see the "
+            "dyadic-exactness guard"
+        )
+    return timing
+
+
+class _FoldWalk:
+    """Fold's class walk, written once against a time domain.
+
+    One forward pass over the topologically ordered classes evaluates
+    each representative's schedule: receive at the parent send's
+    arrival, then computes, sleeps and ``max(g, o)``-paced sends, with
+    the capacity window classified at every inject (see the module
+    docstring).  An arithmetic domain supplies ``_lit``, ``_val``,
+    ``_add`` and ``_max`` — floats for :func:`evaluate_folded`, tape
+    boxes for :func:`evaluate_folded_grid` — and ``_window``, which
+    receives each inject's window classification.
+    """
+
+    def __init__(
+        self,
+        folded: FoldedProgram,
+        params,
+        timing: tuple,
+        *,
+        enforce_capacity: bool,
+        capacity: int,
+    ):
+        self._folded = folded
+        self._o = float(params.o)
+        self._si = float(params.send_interval)
+        self._flight = _fixed_flight(timing, params)
+        self._enforce = enforce_capacity
+        self._cap = capacity
+
+    def walk(self):
+        """Evaluate every class; return the makespan.
+
+        Leaves per-class ``fins`` (finished_at) and ``pms`` (makespan)
+        times, per-class ``sends`` counts and the multiplicity-weighted
+        ``total_messages``.
+        """
+        o = self._o
+        si = self._si
+        ft, fk, fv = self._flight
+        releases_ties = fv >= o
+        enforce = self._enforce
+        zero = self._lit(0.0)
+        classes = self._folded.classes
+        arrive_of: list = [None] * len(classes)
+        self.fins = fins = []
+        self.pms = pms = []
+        self.sends = sends = []
+        mk = None
+        total_messages = 0
+        for i, cls in enumerate(classes):
+            skel = cls.skeleton
+            has_recv = bool(skel) and skel[0][0] == OP_RECV
+            if has_recv:
+                arrival = arrive_of[cls.parent][cls.parent_send]
+                now = la = self._add(arrival, _T_O, 0.0, o)
             else:
-                gap = last_send + si
-                start = now if now >= gap else gap
-            end = start + o
-            if enforce:
-                m = len(arrs)
-                while released < m and arrs[released] < end:
-                    released += 1
-                eff = released
-                if eff < m and arrs[eff] == end and flight >= o:
-                    # An arrival tying an inject pops first: it was
-                    # scheduled no later (start_m - end_j = flight - o),
-                    # and at flight == o strictly earlier in seq order
-                    # (the inject_j pop precedes every event that can
-                    # commit send m at that timestamp).
-                    while eff < m and arrs[eff] == end:
-                        eff += 1
-                    released = eff
-                if m - eff >= cap:
-                    raise FoldError(
-                        f"capacity stall at reference point: class "
-                        f"{cls.index} (rep rank {cls.rep}) has "
-                        f"{m - eff} messages in flight at send {m} "
-                        f"with capacity {cap} — stall queues are "
-                        "rank-ordered, not class-invariant"
+                now = la = zero
+            last_send = None
+            end = None
+            arrs: list = []
+            avals: list = []  # arrival values, for the capacity window
+            released = 0
+            last_kind = skel[0][0] if skel else None
+            for op in skel[1 if has_recv else 0 :]:
+                k = op[0]
+                last_kind = k
+                if k == OP_COMPUTE or k == OP_SLEEP:
+                    now = self._add(now, _T_LIT, float(op[1]), op[1])
+                    if k == OP_COMPUTE:
+                        la = now
+                    continue
+                # OP_SEND
+                if last_send is None:
+                    start = now
+                else:
+                    start = self._max(
+                        now, self._add(last_send, _T_SI, 0.0, si)
                     )
-            arrs.append(end + flight)
-            last_send = start
-            now = end
-            la = end
-    fin = end if last_kind == OP_SEND else now
-    return fin, la, arrs
+                end = self._add(start, _T_O, 0.0, o)
+                if enforce:
+                    iv = self._val(end)
+                    released = self._capacity_window(
+                        cls, arrs, avals, end, iv, released, releases_ties
+                    )
+                    # The arrival's value: the same float add as below.
+                    avals.append(iv + fv)
+                arrs.append(self._add(end, ft, fk, fv))
+                last_send = start
+                now = la = end
+            arrive_of[i] = arrs
+            fin = end if last_kind == OP_SEND else now
+            pm = self._max(fin, la)
+            fins.append(fin)
+            pms.append(pm)
+            sends.append(len(arrs))
+            total_messages += cls.size * len(arrs)
+            mk = pm if mk is None else self._max(mk, pm)
+        self.total_messages = total_messages
+        return zero if mk is None else mk
+
+    def _capacity_window(
+        self, cls, arrs, avals, inject, iv: float, released: int,
+        releases_ties: bool,
+    ) -> int:
+        """Source-side in-flight accounting at one inject.
+
+        Classification at the reference point (``iv`` is the inject's
+        value, ``avals`` the earlier arrivals'): release-at-arrival,
+        ties released iff ``flight >= o`` (see the module docstring).
+        Raises :class:`FoldError` on a capacity stall — stall queues
+        are rank-ordered, not class-invariant — and otherwise hands the
+        classification to ``_window``.
+        """
+        m = len(avals)
+        while released < m and avals[released] < iv:
+            released += 1
+        eff = released
+        if releases_ties and eff < m and avals[eff] == iv:
+            # An arrival tying an inject pops first: it was scheduled
+            # no later (start_m - end_j = flight - o), and at
+            # flight == o strictly earlier in seq order (the inject_j
+            # pop precedes every event that can commit send m at that
+            # timestamp).
+            while eff < m and avals[eff] == iv:
+                eff += 1
+            released = eff
+        count = m - eff
+        if count >= self._cap:
+            raise FoldError(
+                f"capacity stall at reference point: class "
+                f"{cls.index} (rep rank {cls.rep}) has {count} "
+                f"messages in flight at send {m} with capacity "
+                f"{self._cap} — stall queues are rank-ordered, not "
+                "class-invariant"
+            )
+        self._window(arrs, inject, eff, count, releases_ties)
+        return released
+
+
+class _FoldFloat(_FloatArith, _FoldWalk):
+    """The walk at concrete parameters: what :func:`evaluate_folded` runs."""
+
+    def _window(self, arrs, inject, eff, count, releases_ties) -> None:
+        pass  # the reference classification is the whole check
+
+
+class _FoldTape(_TapeArith, _FoldWalk):
+    """The walk recording a :class:`.grid._Tape` for the folded grid.
+
+    The chain is pure max/add (point-universally exact — a max
+    instruction equals the realized branch in both cases), so the only
+    constraints are the capacity-window boundaries and the
+    deduplicated ``_C_CAP`` rows.
+    """
+
+    def __init__(self, folded: FoldedProgram, params, timing, **walk):
+        self._start_tape()
+        self._cap_counts: set = set()
+        self._tie_guarded = False
+        _FoldWalk.__init__(self, folded, params, timing, **walk)
+
+    def run(self) -> tuple[float, float]:
+        """Record the walk; return its makespan and (zero) stall."""
+        mk = self.walk()
+        st = self._lit(0.0)
+        self.tape.makespan_slot = mk[1]
+        self.tape.stall_slot = st[1]
+        return mk[0], st[0]
+
+    def _window(self, arrs, inject, eff, count, releases_ties) -> None:
+        """Constrain a replayed point to the reference's window.
+
+        *Overcounting* is safe — counts never feed a value, only the
+        stall check — so the in-flight boundary is ``<=`` (a replayed
+        tie there at ``flight >= o`` is truly released but merely
+        overcounted).  The released boundary is ``<=`` only under a
+        one-time ``o <= flight`` tape guard (which makes tie release
+        valid at every covered point), else strict; ``flight < o``
+        points under a releasing reference simply diverge and
+        re-record.
+        """
+        cons = self.tape.cons
+        if eff > 0:
+            if releases_ties:
+                if not self._tie_guarded:
+                    self._tie_guarded = True
+                    o_slot = self._slot()
+                    self.tape.code.append((_I_CONST, o_slot, _T_O, 0.0))
+                    f_slot = self._slot()
+                    self.tape.code.append(
+                        (_I_CONST, f_slot, self._flight[0], self._flight[1])
+                    )
+                    cons.append((_C_LE, o_slot, f_slot))
+                cons.append((_C_LE, arrs[eff - 1][1], inject[1]))
+            else:
+                cons.append((_C_LT, arrs[eff - 1][1], inject[1]))
+        if eff < len(arrs):
+            cons.append((_C_LE, inject[1], arrs[eff][1]))
+        if count not in self._cap_counts:
+            self._cap_counts.add(count)
+            cons.append((_C_CAP, count, False))
 
 
 def evaluate_folded(
@@ -806,271 +936,30 @@ def evaluate_folded(
         raise ValueError(
             f"hw_barrier_cost must be >= 0, got {hw_barrier_cost}"
         )
-    if compute_jitter is not None:
-        raise FoldError(
-            "compute_jitter is rank-indexed — per-rank cycles are "
-            "not class-invariant"
-        )
-    flight = _resolve_flight(params, L, latency, fabric)
-    o = float(params.o)
-    si = float(params.send_interval)
-    _check_point_dyadic(float(params.L), o, float(params.g), si)
-    if not _dyadic(flight):
-        raise FoldError(
-            f"non-dyadic flight time {flight} — see the "
-            "dyadic-exactness guard"
-        )
+    timing = _fold_timing([params], L, latency, fabric, compute_jitter)
     _literals_dyadic(folded.classes)
     cap = params.capacity if capacity is None else capacity
     if cap < 1:
         raise ValueError(f"capacity must be >= 1, got {cap}")
+    walk = _FoldFloat(
+        folded, params, timing, enforce_capacity=enforce_capacity,
+        capacity=cap,
+    )
+    makespan = walk.walk()
     classes = folded.classes
-    n = len(classes)
-    arrive_of: list = [None] * n
-    fins = [0.0] * n
-    pms = [0.0] * n
-    sends = [0] * n
-    recvs = [0] * n
-    makespan = 0.0
-    total_messages = 0
-    for i, cls in enumerate(classes):
-        if cls.parent >= 0:
-            arrival = arrive_of[cls.parent][cls.parent_send]
-            recvs[i] = 1
-        else:
-            arrival = None
-        fin, la, arrs = _scalar_walk(
-            cls, arrival, o, si, flight, cap, enforce_capacity
-        )
-        arrive_of[i] = arrs
-        fins[i] = fin
-        pms[i] = fin if fin >= la else la
-        sends[i] = len(arrs)
-        total_messages += cls.size * len(arrs)
-        if pms[i] > makespan:
-            makespan = pms[i]
     return FoldedResult(
         makespan=makespan,
-        total_messages=total_messages,
+        total_messages=walk.total_messages,
         total_stall_time=0.0,
         P=folded.P,
-        n_classes=n,
-        class_makespans=pms,
-        class_finished_at=fins,
-        class_sends=sends,
-        class_receives=recvs,
+        n_classes=len(classes),
+        class_makespans=walk.pms,
+        class_finished_at=walk.fins,
+        class_sends=walk.sends,
+        class_receives=[1 if c.parent >= 0 else 0 for c in classes],
         class_sizes=[c.size for c in classes],
         folded=folded,
     )
-
-
-# -- tape-recorded folded evaluation (the grid path) -----------------
-
-
-class _FoldRecorder:
-    """Record one folded evaluation as a :class:`.grid._Tape`.
-
-    Every class time is a boxed ``(value, slot)``; the chain is pure
-    max/add (point-universally exact — a max instruction equals the
-    realized branch in both cases), so the only constraints are the
-    capacity-window boundaries and the deduplicated ``_C_CAP``
-    rows.  Replays through the unmodified :func:`.grid._replay_numpy`
-    / :func:`.grid._replay_python`.
-    """
-
-    def __init__(
-        self,
-        folded: FoldedProgram,
-        params,
-        *,
-        enforce_capacity: bool,
-        capacity: int,
-        timing: tuple,
-    ):
-        self._folded = folded
-        self._o = float(params.o)
-        self._si = float(params.send_interval)
-        self._enforce = enforce_capacity
-        self._cap = capacity
-        if timing[0] == "params":
-            self._flight = (_T_L, 0.0, float(params.L))
-        elif timing[0] == "const":
-            self._flight = (_T_LIT, timing[1], timing[1])
-        else:
-            raise FoldError(
-                "seeded latency models draw per message in event "
-                "order — draws are not class-invariant"
-                if timing[0] in ("draw", "const_axis")
-                else "topology fabrics route per (src, dst) pair — "
-                "flight is not class-invariant"
-            )
-        self.tape = _Tape()
-        self._lits: dict = {}
-        self._zero = self._const(0.0)
-        self._cap_counts: set = set()
-        self._tie_guarded = False
-
-    # tape primitives (the _TapeEvaluator idiom, constraint-light)
-
-    def _slot(self) -> int:
-        s = self.tape.n_slots
-        self.tape.n_slots = s + 1
-        return s
-
-    def _const(self, v: float):
-        box = self._lits.get(v)
-        if box is None:
-            s = self._slot()
-            self.tape.code.append((_I_CONST, s, _T_LIT, v))
-            box = (v, s)
-            self._lits[v] = box
-        return box
-
-    def _add(self, box, term: int, k: float, value: float):
-        s = self._slot()
-        self.tape.code.append((_I_ADD, s, box[1], term, k))
-        return (value, s)
-
-    def _max(self, a, b):
-        if a[1] == b[1]:
-            return a
-        s = self._slot()
-        self.tape.code.append((_I_MAX, s, a[1], b[1]))
-        return (a[0] if a[0] >= b[0] else b[0], s)
-
-    def _wadd(self, a, b, w: float):
-        s = self._slot()
-        self.tape.code.append((_I_WADD, s, a[1], b[1], w))
-        return (a[0] + w * b[0], s)
-
-    def run(self) -> dict:
-        folded = self._folded
-        o = self._o
-        si = self._si
-        ft, fk, fv = self._flight
-        classes = folded.classes
-        arrive_of: list = [None] * len(classes)
-        mk = None
-        total_messages = 0
-        for i, cls in enumerate(classes):
-            skel = cls.skeleton
-            has_recv = bool(skel) and skel[0][0] == OP_RECV
-            if has_recv:
-                arrival = arrive_of[cls.parent][cls.parent_send]
-                now = self._add(arrival, _T_O, 0.0, arrival[0] + o)
-                la = now
-            else:
-                now = self._zero
-                la = self._zero
-            last_send = None
-            end = None
-            arrs: list = []
-            released = 0
-            last_kind = skel[0][0] if skel else None
-            for op in skel[1 if has_recv else 0 :]:
-                k = op[0]
-                last_kind = k
-                if k == OP_COMPUTE or k == OP_SLEEP:
-                    now = self._add(
-                        now, _T_LIT, float(op[1]), now[0] + op[1]
-                    )
-                    if k == OP_COMPUTE:
-                        la = now
-                    continue
-                # OP_SEND
-                if last_send is None:
-                    start = now
-                else:
-                    gap = self._add(
-                        last_send, _T_SI, 0.0, last_send[0] + si
-                    )
-                    start = self._max(now, gap)
-                end = self._add(start, _T_O, 0.0, start[0] + o)
-                if self._enforce:
-                    released = self._capacity_window(
-                        cls, arrs, end, released
-                    )
-                arrs.append(self._add(end, ft, fk, end[0] + fv))
-                last_send = start
-                now = end
-                la = end
-            arrive_of[i] = arrs
-            fin = end if last_kind == OP_SEND else now
-            pm = self._max(fin, la)
-            total_messages += cls.size * len(arrs)
-            mk = pm if mk is None else self._max(mk, pm)
-        if mk is None:
-            mk = self._zero
-        # Aggregate stall: zero per class, folded with multiplicity so
-        # the weighted-counter shape (and _I_WADD) is exercised and a
-        # future stall-bearing class folds the same way.
-        st = self._zero
-        for cls in classes:
-            st = self._wadd(st, self._zero, float(cls.size))
-        self.tape.makespan_slot = mk[1]
-        self.tape.stall_slot = st[1]
-        return {
-            "makespan": mk[0],
-            "total_stall_time": st[0],
-            "total_messages": total_messages,
-        }
-
-    def _capacity_window(self, cls, arrs, inject, released: int) -> int:
-        """Source-side in-flight accounting at one inject.
-
-        Classification at the reference point: release-at-arrival,
-        ties released iff ``flight >= o`` (see the module docstring).
-        For replay, *overcounting* is safe — counts never feed a
-        value, only the stall check — so the in-flight boundary is
-        ``<=`` (a replayed tie there at ``flight >= o`` is truly
-        released but merely overcounted).  The released boundary is
-        ``<=`` only under a one-time ``o <= flight`` tape guard
-        (which makes tie release valid at every covered point), else
-        strict; ``flight < o`` points under a releasing reference
-        simply diverge and re-record.
-        """
-        m = len(arrs)
-        while released < m and arrs[released][0] < inject[0]:
-            released += 1
-        eff = released
-        releases_ties = self._flight[2] >= self._o
-        if eff < m and arrs[eff][0] == inject[0] and releases_ties:
-            while eff < m and arrs[eff][0] == inject[0]:
-                eff += 1
-            released = eff
-        count = m - eff
-        if count >= self._cap:
-            raise FoldError(
-                f"capacity stall at reference point: class "
-                f"{cls.index} (rep rank {cls.rep}) has {count} "
-                f"messages in flight at send {m} with capacity "
-                f"{self._cap} — stall queues are rank-ordered, not "
-                "class-invariant"
-            )
-        cons = self.tape.cons
-        if eff > 0:
-            if releases_ties:
-                if not self._tie_guarded:
-                    self._tie_guarded = True
-                    o_slot = self._slot()
-                    self.tape.code.append(
-                        (_I_CONST, o_slot, _T_O, 0.0)
-                    )
-                    f_slot = self._slot()
-                    self.tape.code.append(
-                        (_I_CONST, f_slot, self._flight[0],
-                         self._flight[1])
-                    )
-                    cons.append((_C_LE, o_slot, f_slot))
-                cons.append((_C_LE, arrs[eff - 1][1], inject[1]))
-            else:
-                cons.append((_C_LT, arrs[eff - 1][1], inject[1]))
-        if eff < m:
-            cons.append((_C_LE, inject[1], arrs[eff][1]))
-        if count not in self._cap_counts:
-            self._cap_counts.add(count)
-            cons.append((_C_CAP, count, False))
-        return released
 
 
 def evaluate_folded_grid(
@@ -1085,7 +974,6 @@ def evaluate_folded_grid(
     compute_jitter=None,
     max_events: int = 0,
     max_tapes: int = 32,
-    use_numpy: bool | None = None,
 ) -> GridResult:
     """Evaluate a folded program at every point of an ``(L, o, g)`` grid.
 
@@ -1111,11 +999,6 @@ def evaluate_folded_grid(
         )
     if max_tapes < 0:
         raise ValueError(f"max_tapes must be >= 0, got {max_tapes}")
-    if compute_jitter is not None:
-        raise FoldError(
-            "compute_jitter is rank-indexed — per-rank cycles are "
-            "not class-invariant"
-        )
     for p in pts:
         if p.P != folded.P:
             raise ValueError(
@@ -1128,105 +1011,36 @@ def evaluate_folded_grid(
     for c in caps:
         if c < 1:
             raise ValueError(f"capacity must be >= 1, got {c}")
-    timing, model = _grid_timing(pts, latency, fabric)
-    if model is not None or timing[0] not in ("params", "const"):
-        raise FoldError(
-            "seeded latency models draw per message in event order — "
-            "draws are not class-invariant"
-            if timing[0] in ("draw", "const_axis")
-            else "topology fabrics route per (src, dst) pair — "
-            "flight is not class-invariant"
-        )
-    for p in pts:
-        _check_point_dyadic(
-            float(p.L), float(p.o), float(p.g), float(p.send_interval)
-        )
-    if timing[0] == "const" and not _dyadic(timing[1]):
-        raise FoldError(
-            f"non-dyadic flight time {timing[1]} — see the "
-            "dyadic-exactness guard"
-        )
+    timing = _fold_timing(pts, None, latency, fabric, compute_jitter)
     _literals_dyadic(folded.classes)
-    use_numpy = _resolve_use_numpy(use_numpy)
+    raw = _raw_points(pts)
+    cap_arr = np.asarray(caps, dtype=np.int64)
+
+    def record(i):
+        rec = _FoldTape(
+            folded, pts[i], timing, enforce_capacity=enforce_capacity,
+            capacity=caps[i],
+        )
+        return rec, rec.run()
+
+    def replay_inputs(rec, rest):
+        return tuple(raw[:, rest]) + (None,), cap_arr[rest]
+
+    def fallback(i):
+        res = evaluate_folded(
+            folded, pts[i], latency=latency, fabric=fabric,
+            enforce_capacity=enforce_capacity, capacity=capacity,
+            hw_barrier_cost=hw_barrier_cost,
+        )
+        return res.makespan, res.total_stall_time
+
     n = len(pts)
-    raw = [_raw_point(p) for p in pts]
     makespans = [0.0] * n
     stalls = [0.0] * n
-    remaining = list(range(n))
-    tapes = 0
-    divergent: list = []
-    while remaining and tapes < max_tapes:
-        ref = remaining[0]
-        rec = _FoldRecorder(
-            folded,
-            pts[ref],
-            enforce_capacity=enforce_capacity,
-            capacity=caps[ref],
-            timing=timing,
-        )
-        try:
-            out = rec.run()
-        except FoldError:
-            divergent.append(ref)
-            remaining = remaining[1:]
-            continue
-        tapes += 1
-        makespans[ref] = out["makespan"]
-        stalls[ref] = out["total_stall_time"]
-        rest = remaining[1:]
-        if not rest:
-            remaining = []
-            break
-        if use_numpy:
-            np = _np
-            arrs = tuple(
-                np.asarray([raw[i][k] for i in rest], dtype=float)
-                for k in range(5)
-            ) + (None,)
-            cap_arr = np.asarray(
-                [caps[i] for i in rest], dtype=np.int64
-            )
-            ok, mk, st = _replay_numpy(rec.tape, arrs, cap_arr)
-            next_remaining = []
-            for j, i in enumerate(rest):
-                if ok[j]:
-                    makespans[i] = float(mk[j])
-                    stalls[i] = float(st[j])
-                else:
-                    next_remaining.append(i)
-            remaining = next_remaining
-        else:
-            ok, mk, st = _replay_python(
-                rec.tape,
-                [(*raw[i], None) for i in rest],
-                [caps[i] for i in rest],
-            )
-            next_remaining = []
-            for j, i in enumerate(rest):
-                if ok[j]:
-                    makespans[i] = mk[j]
-                    stalls[i] = st[j]
-                else:
-                    next_remaining.append(i)
-            remaining = next_remaining
-    fallbacks = 0
-    for i in remaining:
-        try:
-            res = evaluate_folded(
-                folded,
-                pts[i],
-                latency=latency,
-                fabric=fabric,
-                enforce_capacity=enforce_capacity,
-                capacity=capacity,
-                hw_barrier_cost=hw_barrier_cost,
-            )
-        except FoldError:
-            divergent.append(i)
-            continue
-        fallbacks += 1
-        makespans[i] = res.makespan
-        stalls[i] = res.total_stall_time
+    tapes, fallbacks, divergent = _cover(
+        range(n), makespans, stalls, max_tapes=max_tapes, record=record,
+        replay_inputs=replay_inputs, fallback=fallback, diverged=FoldError,
+    )
     divergent.sort()
     return GridResult(
         makespans,

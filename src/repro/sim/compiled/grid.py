@@ -6,45 +6,50 @@ which branch each comparison takes — is piecewise-constant over the
 event sequence with different float values flowing through it.  This
 module exploits that:
 
-1. **Record.**  :class:`_TapeEvaluator` is the scalar evaluator
-   (:mod:`.evaluator`) with every simulated time *boxed* as
-   ``(value, slot)``.  Each float operation the machine semantics
-   perform — one add per ``+``, one max per running-max fold, one
-   sub+add per stall episode — appends one tape instruction, so a
-   replayed slot reproduces the recorded value's IEEE arithmetic
-   bit-for-bit, never an algebraic simplification of it.  Every branch
-   the run takes appends a *constraint*: float comparisons, the
-   engine's past-tolerance clamp, activation-dedup key hits/misses,
-   capacity comparisons against the per-point ``ceil(L/g)`` limit —
-   and a *dependency partial order* over executed events.  Requiring
-   the replayed point to reproduce the full event interleaving would
-   split the grid at every crossing of two unrelated ranks' event
-   times, so ordering is constrained only where it can change results:
-   each handler execution declares the state cells it touches (one per
-   processor, one for the barrier), and successive touchers of a cell
-   must pop in recorded order under the engine's ``(time, seq)`` rule.
-   Time ties are pinned without knowing replayed seq numbers: a pair
-   whose recorded seqs already match its pop order adds ``<=`` plus a
-   recursive order edge between the two events' *schedulers* (handler
-   code order then fixes the seqs); a pair popped against seq order
-   requires strictly increasing times.  Cancelled activations get the
-   same edge from their cancelling event, so a superseded entry cannot
-   pop early and execute at a replayed point.  Events whose footprints
-   never meet may interleave differently at a covered point — the tape
-   is single-assignment dataflow, so commuting executions produce the
+1. **Record.**  :class:`_TapeRecorder` is the *recording domain* of
+   the one handler core (:class:`.evaluator._Core`): the machine's
+   handlers, run at a reference point with every simulated time
+   *boxed* as ``(value, slot)``.  The float drives the run exactly as
+   in the float domain that serves :func:`.evaluator.evaluate` (same
+   branches, same event order); the slot makes it replayable.  Each
+   float operation the machine semantics perform — one add per ``+``,
+   one max per running-max fold, one sub+add per stall episode —
+   appends one tape instruction, so a replayed slot reproduces the
+   recorded value's IEEE arithmetic bit-for-bit, never an algebraic
+   simplification of it.  Every branch the run takes appends a
+   *constraint*: float comparisons, the engine's past-tolerance clamp,
+   activation-dedup key hits/misses, capacity comparisons against the
+   per-point ``ceil(L/g)`` limit — and a *dependency partial order*
+   over executed events.  Requiring the replayed point to reproduce
+   the full event interleaving would split the grid at every crossing
+   of two unrelated ranks' event times, so ordering is constrained
+   only where it can change results: each handler execution declares
+   the state cells it touches (one per processor, one for the
+   barrier), and successive touchers of a cell must pop in recorded
+   order under the engine's ``(time, seq)`` rule.  Time ties are
+   pinned without knowing replayed seq numbers: a pair whose recorded
+   seqs already match its pop order adds ``<=`` plus a recursive order
+   edge between the two events' *schedulers* (handler code order then
+   fixes the seqs); a pair popped against seq order requires strictly
+   increasing times.  Cancelled activations get the same edge from
+   their cancelling event, so a superseded entry cannot pop early and
+   execute at a replayed point.  Events whose footprints never meet may
+   interleave differently at a covered point — the tape is
+   single-assignment dataflow, so commuting executions produce the
    identical instruction stream and results.
 2. **Replay.**  :func:`_replay` evaluates the tape's instruction list
-   over arrays of grid points (numpy when available, a pure-python
-   loop otherwise) and checks every constraint per point.  A point
-   that satisfies all constraints provably executes the recorded
-   handler sequence up to commuting interleavings, so its replayed
-   makespan and stall totals are *exactly* what the scalar evaluator —
-   and therefore the machine — would produce there.
+   over numpy arrays of grid points and checks every constraint per
+   point.  A point that satisfies all constraints provably executes the
+   recorded handler sequence up to commuting interleavings, so its
+   replayed makespan and stall totals are *exactly* what the float
+   domain — and therefore the machine — would produce there.
 3. **Re-reference.**  Points that violate a constraint lie in a
    different control-flow region: the first such point becomes the
    next recording reference, up to ``max_tapes`` regions; stragglers
-   fall back to the scalar evaluator.  The fallback changes cost only,
-   never results.
+   fall back to the float domain.  The fallback changes cost only,
+   never results.  One driver, :func:`_cover`, runs this loop for
+   every tape family: the grid, both column groups of the seed grid,
+   and the folded grid (:mod:`.fold`).
 
 Beyond the fixed-``L`` default, the tape lowers the machine's other
 deterministic timing configurations:
@@ -73,6 +78,8 @@ deterministic timing configurations:
   branch-split region and get their own recompile, up to a fork
   budget, with exact per-point lowering for stragglers.
 
+Fuzz check 5 (:mod:`repro.sim.fuzz`) diffs both the recording and the
+replay against the machine on every case of the tier-1 sweep, and
 ``tests/test_compiled.py`` pins grid output per-point equal to machine
 runs across fuzz-generated programs and parameter grids.
 """
@@ -83,36 +90,25 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 from ..engine import SimulationError
-from ..latency import FixedLatency
-from ..net import LatencyFabric, TopologyFabric
-from .compiler import (
-    OP_COMPUTE,
-    OP_NOW,
-    OP_POLL,
-    OP_RECV,
-    OP_SEND,
-    OP_SLEEP,
-    CompiledProgram,
-)
+from ..net import TopologyFabric
+from .compiler import CompiledProgram
 from .evaluator import (
-    _COMPACT,
-    _DONE,
     _EV_ACTIVATION,
-    _EV_ARRIVAL,
-    _EV_BARRIER,
-    _EV_INJECT,
-    _EV_RECV_DONE,
-    _EV_WAKE,
     _PAST_TOL,
-    _POLLING,
-    _RUNNING,
-    _SLEEPING,
-    _STALL_SEND,
-    _WAIT_BARRIER,
-    _WAIT_GAP,
-    _WAIT_RECV,
+    _T_DRAW,
+    _T_G,
+    _T_GLONG,
+    _T_L,
+    _T_LIT,
+    _T_O,
+    _T_SI,
     TimingDivergence,
+    _Core,
+    _fixed_flight,
+    _resolve_timing,
     compile_at,
     evaluate,
 )
@@ -125,27 +121,12 @@ __all__ = [
     "evaluate_seed_grid",
 ]
 
-try:  # numpy is optional; the pure-python replay is exact, just slower
-    import numpy as _np
-except ImportError:  # pragma: no cover - image always has numpy
-    _np = None
-
 # Tape instructions: (code, out, ...) producing slot ``out``.
 _I_CONST = 0  # (out, term, k)            v = term
 _I_ADD = 1    # (out, a, term, k)         v = slots[a] + term
 _I_ADDS = 2   # (out, a, b)               v = slots[a] + slots[b]
 _I_MAX = 3    # (out, a, b)               v = max(slots[a], slots[b])
 _I_STALL = 4  # (out, acc, now, start)    v = slots[acc] + (slots[now]-slots[start])
-_I_WADD = 5   # (out, a, b, w)            v = slots[a] + w * slots[b]
-
-# Parameter terms a tape instruction may reference.
-_T_LIT = 0    # literal float k
-_T_L = 1      # per-point L
-_T_O = 2      # per-point o
-_T_G = 3      # per-point gap g
-_T_SI = 4     # per-point send interval max(g, o)
-_T_GLONG = 5  # k * per-point LogGP long-message Gap
-_T_DRAW = 6   # per-point latency-draw input k (index into the D matrix)
 
 # Constraints: all must hold for a replayed point to be valid.
 _C_LE = 0     # slots[a] <= slots[b]
@@ -172,154 +153,23 @@ class _Tape:
         self.stall_slot = -1
 
 
-class _TMsg:
-    __slots__ = ("src", "dst", "tag", "words", "arrive")
+class _TapeArith:
+    """Tape time arithmetic: a time is a ``(value, slot)`` box.
 
-    def __init__(self, src, dst, tag, words):
-        self.src = src
-        self.dst = dst
-        self.tag = tag
-        self.words = words
-        self.arrive = None
-
-
-class _TProc:
-    __slots__ = (
-        "rank", "ops", "n_ops", "ip", "pending", "state",
-        "busy_until", "last_send_start", "last_recv_start",
-        "last_activity", "port_free", "mailbox", "arrived",
-        "pending_inject", "stall_started", "queued_on",
-        "pending_activations", "poll_drained", "sends", "receives",
-        "stall_time", "finished_at",
-    )
-
-    def __init__(self, rank, ops, zero, neginf):
-        self.rank = rank
-        self.ops = ops
-        self.n_ops = len(ops)
-        self.ip = 0
-        self.pending = None
-        self.state = _RUNNING
-        self.busy_until = zero
-        self.last_send_start = neginf
-        self.last_recv_start = neginf
-        self.last_activity = zero
-        self.port_free = neginf
-        self.mailbox: list = []
-        self.arrived: list = []
-        self.pending_inject = None
-        self.stall_started = None
-        self.queued_on = None
-        #: key float -> (event id, key slot); value-compared on lookup
-        #: so every hit/miss is recorded as an eq/ne constraint.
-        self.pending_activations: dict = {}
-        self.poll_drained = 0
-        self.sends = 0
-        self.receives = 0
-        self.stall_time = zero
-        self.finished_at = zero
-
-
-class _TapeEvaluator:
-    """The scalar evaluator with boxed times recording a :class:`_Tape`.
-
-    Every simulated time is a ``(float value, tape slot)`` pair; the
-    float drives this run exactly as in :class:`.evaluator._Evaluator`
-    (same branches, same event order), the slot makes the arithmetic
-    replayable.  Port parity with the scalar evaluator is enforced by
-    the per-point grid-vs-machine equality tests.
+    Each operation appends one instruction and each branch one
+    constraint.  Shared by the machine core's recording domain and
+    fold's tape walk; :meth:`_start_tape` must run before the first
+    hook.
     """
 
-    def __init__(
-        self,
-        compiled: CompiledProgram,
-        params,
-        *,
-        enforce_capacity: bool,
-        capacity: int,
-        hw_barrier_cost: float,
-        compute_jitter,
-        max_events: int,
-        timing: tuple = ("params",),
-    ):
-        P = compiled.P
-        self._P = P
-        self._o = float(params.o)
-        self._g = float(params.g)
-        self._si = float(params.send_interval)
-        self._L = float(params.L)
-        self._Gl = getattr(params, "G", None)
-        # Flight-time lowering mode.  ``_flight_fixed`` modes take the
-        # machine's fixed fast path (arrive = (now + stream) + flight):
-        #   ("params",)         flight is the per-point L      (_T_L)
-        #   ("const", c)        flight is the model constant c (_T_LIT)
-        #   ("const_axis", c)   flight is per-column input 0   (_T_DRAW)
-        # Fabric modes take the submit path (arrive = submit + stream):
-        #   ("draw", model)     one model.draw per injection   (_T_DRAW)
-        #   ("topo", fabric)    per-(src, dst) route literals  (_T_LIT)
-        mode = timing[0]
-        self._flight_fixed = None
-        self._flight_model = None
-        self._flight_topo = None
-        if mode == "params":
-            self._flight_fixed = (_T_L, 0.0, self._L)
-        elif mode == "const":
-            self._flight_fixed = (_T_LIT, timing[1], timing[1])
-        elif mode == "const_axis":
-            self._flight_fixed = (_T_DRAW, 0, timing[1])
-        elif mode == "draw":
-            self._flight_model = timing[1]
-        else:  # "topo"
-            self._flight_topo = timing[1]
-        self._topo_flight: dict = {}
-        #: (src, dst) of each consumed draw, in stream order; replay
-        #: rebuilds per-point draw values by walking this sequence.
-        self.draw_pairs: list = []
-        self._capacity = capacity
-        self._enforce = enforce_capacity
-        self._hw_barrier = float(hw_barrier_cost)
-        self._jitter = compute_jitter
-        self._budget = max_events
+    def _start_tape(self) -> None:
         self.tape = _Tape()
         #: slot -> slots it is >= at *every* parameter point (the add
         #: chain with nonnegative terms / both max operands); used to
         #: prune structurally-implied <= constraints.
         self._anc: dict[int, tuple] = {}
         self._con_seen: set = set()
-        self._cap_seen: set = set()
         self._lits: dict[float, int] = {}
-        zero = self._lit(0.0)
-        neginf = self._lit(float("-inf"))
-        self._zero = zero
-        self._procs = [
-            _TProc(r, compiled.ops[r], zero, neginf) for r in range(P)
-        ]
-        self._values = compiled.values
-        self._inflight_from = [0] * P
-        self._inflight_to = [0] * P
-        self._stall_queue: list[list[int]] = [[] for _ in range(P)]
-        self._barrier_waiting: list[int] = []
-        self._total_messages = 0
-        self._queue: list = []
-        self._seq = 0
-        self._cancelled: set = set()
-        self._now = zero
-        self._cur_seq = -1
-        self._events = 0
-        #: State cells touched by the current handler execution:
-        #: 0..P-1 per processor, P for the barrier, P+1 for the latency
-        #: RNG stream (draw mode: draws must replay in recorded order).
-        self._fp: set = set()
-        #: Per cell, the seq of the last executed event that touched it.
-        self._last_touch: list = [None] * (P + 2)
-        #: Ordered pairs already constrained (memo for :meth:`_order`).
-        self._ordpairs: set = set()
-        #: Per scheduled seq: its (post-clamp) time slot and the seq of
-        #: the event executing when it was scheduled (-1: preamble).
-        self._m_slot: list = []
-        self._m_sched: list = []
-
-    # -- tape primitives ---------------------------------------------
 
     def _slot(self) -> int:
         tape = self.tape
@@ -335,6 +185,9 @@ class _TapeEvaluator:
             self._lits[v] = cached
         return (v, cached)
 
+    def _val(self, t) -> float:
+        return t[0]
+
     def _add(self, t, term: int, k: float, termval: float):
         out = self._slot()
         self.tape.code.append((_I_ADD, out, t[1], term, k))
@@ -345,10 +198,22 @@ class _TapeEvaluator:
         return (t[0] + termval, out)
 
     def _max(self, a, b):
+        if a[1] == b[1]:
+            return a
         out = self._slot()
         self.tape.code.append((_I_MAX, out, a[1], b[1]))
         self._anc[out] = (a[1], b[1])
         return (a[0] if a[0] >= b[0] else b[0], out)
+
+    def _sum(self, a, b):
+        out = self._slot()
+        self.tape.code.append((_I_ADDS, out, a[1], b[1]))
+        return (a[0] + b[0], out)
+
+    def _accrue(self, acc, now, start):
+        out = self._slot()
+        self.tape.code.append((_I_STALL, out, acc[1], now[1], start[1]))
+        return (acc[0] + (now[0] - start[0]), out)
 
     def _implied(self, a: int, b: int) -> bool:
         """``slots[a] <= slots[b]`` at every point, structurally."""
@@ -391,6 +256,51 @@ class _TapeEvaluator:
         self._con2(_C_LE, b[1], a[1])
         return False
 
+
+class _TapeRecorder(_TapeArith, _Core):
+    """The recording domain: the handler core emitting a :class:`_Tape`.
+
+    ``timing`` is a :func:`.evaluator._resolve_timing` spec the tape can
+    lower (see :func:`_recordable`), or ``("const_axis", c)``: a
+    ``FixedLatency`` flight fed per column as draw input 0 (the seed
+    grid's fixed-model columns).
+    """
+
+    def __init__(self, compiled: CompiledProgram, params, timing, **core):
+        self._start_tape()
+        self._cap_seen: set = set()
+        kind = timing[0]
+        self._fixed = _fixed_flight(timing, params)
+        self._model = None
+        self._topo = None
+        if kind == "const_axis":
+            self._fixed = (_T_DRAW, 0, timing[1])
+        elif kind == "draw":
+            self._model = timing[1].model
+        elif kind == "fabric":
+            self._topo = timing[1]
+        self._topo_flight: dict = {}
+        #: (src, dst) of each consumed draw, in stream order; replay
+        #: rebuilds per-point draw values by walking this sequence.
+        self.draw_pairs: list = []
+        self._collect = False
+        #: Per cell, the seq of the last executed event that touched it.
+        self._last_touch: list = [None] * (compiled.P + 2)
+        #: Ordered pairs already constrained (memo for :meth:`_order`).
+        self._ordpairs: set = set()
+        #: Per scheduled seq: its (post-clamp) time slot and the seq of
+        #: the event executing when it was scheduled (-1: preamble).
+        self._m_slot: list = []
+        self._m_sched: list = []
+        _Core.__init__(self, compiled, params, **core)
+
+    def run(self) -> tuple[float, float]:
+        """Record the run; return its makespan and total stall values."""
+        makespan, total = _Core.run(self)
+        self.tape.makespan_slot = makespan[1]
+        self.tape.stall_slot = total[1]
+        return makespan[0], total[0]
+
     def _cap_ge(self, count: int) -> bool:
         """Record and return the branch ``count >= capacity``."""
         r = count >= self._capacity
@@ -400,9 +310,59 @@ class _TapeEvaluator:
             self.tape.cons.append((_C_CAP, count, r))
         return r
 
+    def _stream_positive(self, stream: float) -> bool:
+        # stream > 0 iff the per-point long Gap > 0 (k >= 1): a
+        # grid-dependent branch, so it needs its own constraint.
+        positive = stream > 0
+        if ("gl", positive) not in self._cap_seen:
+            self._cap_seen.add(("gl", positive))
+            self.tape.cons.append((_C_GLPOS, positive))
+        return positive
+
+    def _submit_flight(self, now, src: int, dst: int):
+        """Tape the fabric path's ``submit`` arrival (pre-streaming)."""
+        model = self._model
+        if model is not None:
+            # LatencyFabric.submit: t + model.draw(src, dst).  Record
+            # the stream *index*; replay supplies per-point values.
+            # No ancestor edge for the draw term: nothing structural
+            # guarantees another point's draw keeps the sum monotone,
+            # so every ordering constraint on it stays explicit.
+            idx = len(self.draw_pairs)
+            val = float(model.draw(src, dst))
+            self.draw_pairs.append((src, dst))
+            self._fp.add(self._P + 1)
+            out = self._slot()
+            self.tape.code.append((_I_ADD, out, now[1], _T_DRAW, idx))
+            return (now[0] + val, out)
+        # TopologyFabric.submit: (t + serialization) + hops * hop_delay
+        # — both terms pure functions of (src, dst), literal on every
+        # grid point.
+        fab = self._topo
+        key = (src, dst)
+        hop = self._topo_flight.get(key)
+        if hop is None:
+            hop = len(fab._route_links(src, dst)) * fab.hop_delay
+            self._topo_flight[key] = hop
+        ser = fab.serialization
+        return self._add(self._add(now, _T_LIT, ser, ser), _T_LIT, hop, hop)
+
+    def _observe_now(self, proc, now, assumed: float) -> None:
+        box = self._lit(assumed)
+        if now[0] != assumed:
+            raise TimingDivergence(
+                f"proc {proc.rank} observed Now()={now[0]} at the "
+                f"recording reference but the schedule assumed "
+                f"{assumed} — this point belongs to a different "
+                "branch-split region"
+            )
+        # A replayed point takes this schedule's control flow only if
+        # it reproduces the compiled clock reading.
+        self._con2(_C_EQ, now[1], box[1])
+
     # -- inlined engine with ordering constraints --------------------
 
-    def _sched(self, t, code: int, a, b=None, c=None) -> int:
+    def _sched(self, t, code: int, a, b=None) -> int:
         now = self._now
         if t[0] < now[0]:
             if t[0] < now[0] - _PAST_TOL:
@@ -417,7 +377,7 @@ class _TapeEvaluator:
         self._seq = seq + 1
         self._m_slot.append(t[1])
         self._m_sched.append(self._cur_seq)
-        entry = (t[0], seq, t[1], code, a, b, c)
+        entry = (t[0], seq, t, code, a, b)
         queue = self._queue
         if not queue or queue[-1] < entry:
             queue.append(entry)
@@ -461,89 +421,25 @@ class _TapeEvaluator:
             if sa == sb or sa < 0 or sb < 0:
                 return
 
-    def run(self):
-        procs = self._procs
-        for proc in procs:
-            self._sched_activation(proc, self._now)
-        queue = self._queue
-        cancelled = self._cancelled
-        head = 0
-        events = 0
-        budget = self._budget
+    def _settle(self, sq: int) -> None:
+        """Dependency edges: event ``sq`` pops after every earlier
+        event touching any state cell its handler touched."""
         fp = self._fp
-        fp.clear()  # preamble touches precede everything; drop them
         last = self._last_touch
-        order = self._order
-        while True:
-            try:
-                entry = queue[head]
-            except IndexError:
-                break
-            head += 1
-            if head >= _COMPACT:
-                del queue[:head]
-                head = 0
-            sq = entry[1]
-            if cancelled and sq in cancelled:
-                cancelled.remove(sq)
-                continue
-            events += 1
-            if events > budget:
-                raise SimulationError(
-                    f"exceeded max_events={budget}; likely livelock"
-                )
-            self._now = (entry[0], entry[2])
-            self._cur_seq = sq
-            code = entry[3]
-            if code == _EV_ACTIVATION:
-                self._on_activation(entry[4], entry[5])
-            elif code == _EV_ARRIVAL:
-                self._on_arrival(entry[4])
-            elif code == _EV_RECV_DONE:
-                self._on_recv_done(entry[4], entry[5])
-            elif code == _EV_INJECT:
-                self._on_inject(entry[4])
-            elif code == _EV_WAKE:
-                self._on_wake(entry[4], entry[5])
-            else:
-                self._on_barrier_release(entry[4])
-            # Dependency edges: this event pops after every earlier
-            # event touching any state cell its handler touched.
-            prevs = None
-            for cell in fp:
-                pe = last[cell]
-                if pe is not None:
-                    if prevs is None:
-                        prevs = {pe}
-                    else:
-                        prevs.add(pe)
-                last[cell] = sq
-            fp.clear()
-            if prevs is not None:
-                for pe in prevs:
-                    order(pe, sq)
-        self._events = events
-        self._check_completion()
-        makespan = None
-        for p in procs:
-            pm = self._max(p.finished_at, p.last_activity)
-            makespan = pm if makespan is None else self._max(makespan, pm)
-        total = procs[0].stall_time
-        for p in procs[1:]:
-            out = self._slot()
-            self.tape.code.append(
-                (_I_ADDS, out, total[1], p.stall_time[1])
-            )
-            total = (total[0] + p.stall_time[0], out)
-        tape = self.tape
-        tape.makespan_slot = makespan[1]
-        tape.stall_slot = total[1]
-        return {
-            "makespan": makespan[0],
-            "total_stall_time": total[0],
-            "total_messages": self._total_messages,
-            "events_run": events,
-        }
+        prevs = None
+        for cell in fp:
+            pe = last[cell]
+            if pe is not None:
+                if prevs is None:
+                    prevs = {pe}
+                else:
+                    prevs.add(pe)
+            last[cell] = sq
+        fp.clear()
+        if prevs is not None:
+            order = self._order
+            for pe in prevs:
+                order(pe, sq)
 
     # -- activation plumbing with dedup-key constraints --------------
 
@@ -558,8 +454,10 @@ class _TapeEvaluator:
             else:
                 self._con2(_C_NE, t[1], kslot)
         if not hit:
+            # key float -> (event id, key slot); value-compared on
+            # lookup so every hit/miss is recorded as an eq/ne constraint.
             pending[t[0]] = (
-                self._sched(t, _EV_ACTIVATION, proc, t),
+                self._sched(t, _EV_ACTIVATION, proc, t[0]),
                 t[1],
             )
 
@@ -583,455 +481,6 @@ class _TapeEvaluator:
             cancelled = self._cancelled
             for kv in stale:
                 cancelled.add(pending.pop(kv)[0])
-
-    def _on_activation(self, proc, t) -> None:
-        proc.pending_activations.pop(t[0], None)
-        self._activate(proc)
-
-    # -- interpreter loop (ports evaluator._activate) ----------------
-
-    def _activate(self, proc) -> None:
-        now = self._now
-        rank = proc.rank
-        self._fp.add(rank)
-        while True:
-            state = proc.state
-            if state == _DONE:
-                if proc.pending_inject is not None:
-                    self._try_inject(proc)
-                if proc.arrived:
-                    self._try_drain(proc)
-                return
-            if self._lt(now, proc.busy_until):
-                self._sched_activation(proc, proc.busy_until)
-                return
-            if state == _SLEEPING or state == _WAIT_BARRIER:
-                if proc.arrived:
-                    self._try_drain(proc)
-                return
-            if proc.pending_inject is not None:
-                if self._try_inject(proc):
-                    proc.state = _RUNNING
-                    continue
-                proc.state = _STALL_SEND
-                if proc.arrived:
-                    self._try_drain(proc)
-                return
-            op = proc.pending
-            if op is None:
-                ip = proc.ip
-                if ip >= proc.n_ops:
-                    proc.state = _DONE
-                    proc.finished_at = now
-                    if proc.arrived:
-                        self._try_drain(proc)
-                    return
-                op = proc.ops[ip]
-                proc.ip = ip + 1
-                proc.pending = op
-                if op[0] == OP_POLL:
-                    proc.poll_drained = 0
-            kind = op[0]
-            if kind == OP_SEND:
-                # earliest = max(last_send_start + si, port_free): the
-                # machine's branchy form is value-equal to the fold.
-                earliest = self._max(
-                    self._add(
-                        proc.last_send_start, _T_SI, 0.0, self._si
-                    ),
-                    proc.port_free,
-                )
-                if self._lt(now, earliest):
-                    proc.state = _WAIT_GAP
-                    self._sched_activation(proc, earliest)
-                    if proc.arrived:
-                        self._try_drain(proc)
-                    return
-                end = self._add(now, _T_O, 0.0, self._o)
-                proc.pending_inject = _TMsg(rank, op[1], op[3], op[2])
-                self._total_messages += 1
-                proc.last_send_start = now
-                proc.sends += 1
-                proc.busy_until = end
-                proc.last_activity = self._max(proc.last_activity, end)
-                self._sched(end, _EV_INJECT, proc)
-                proc.state = _RUNNING
-                ip = proc.ip
-                if ip >= proc.n_ops:
-                    proc.pending = None
-                    proc.state = _DONE
-                    proc.finished_at = end
-                    return
-                op = proc.ops[ip]
-                proc.ip = ip + 1
-                proc.pending = op
-                if op[0] == OP_POLL:
-                    proc.poll_drained = 0
-                return
-            if kind == OP_RECV:
-                if self._mailbox_take(proc, op[1]):
-                    proc.pending = None
-                    proc.state = _RUNNING
-                    continue
-                proc.state = _WAIT_RECV
-                if proc.arrived:
-                    self._try_drain(proc)
-                return
-            if kind == OP_COMPUTE:
-                cycles = op[1]
-                if self._jitter is not None:
-                    cycles = float(self._jitter(rank, cycles))
-                    if cycles < 0:
-                        raise SimulationError(
-                            f"compute_jitter returned negative cycles "
-                            f"{cycles} for proc {rank}"
-                        )
-                end = self._add(now, _T_LIT, cycles, cycles)
-                proc.busy_until = end
-                proc.last_activity = self._max(proc.last_activity, end)
-                proc.pending = None
-                proc.state = _RUNNING
-                if cycles > 0:
-                    if proc.pending_activations:
-                        self._supersede_activations(proc, end)
-                    self._sched_activation(proc, end)
-                    return
-                continue
-            if kind == OP_SLEEP:
-                proc.state = _SLEEPING
-                wake = self._add(now, _T_LIT, op[1], op[1])
-                proc.pending = None
-                self._sched(wake, _EV_WAKE, proc, wake)
-                if proc.arrived:
-                    self._try_drain(proc)
-                return
-            if kind == OP_POLL:
-                if proc.arrived:
-                    gate = self._add(
-                        proc.last_recv_start, _T_G, 0.0, self._g
-                    )
-                    if not self._lt(now, gate):
-                        proc.state = _POLLING
-                        self._try_drain(proc)
-                        return
-                proc.pending = None
-                proc.state = _RUNNING
-                continue
-            if kind == OP_NOW:
-                assumed = self._lit(op[1])
-                if now[0] != assumed[0]:
-                    raise TimingDivergence(
-                        f"proc {rank} observed Now()={now[0]} at the "
-                        f"recording reference but the schedule assumed "
-                        f"{op[1]} — this point belongs to a different "
-                        "branch-split region"
-                    )
-                # A replayed point takes this schedule's control flow
-                # only if it reproduces the compiled clock reading.
-                self._con2(_C_EQ, now[1], assumed[1])
-                proc.pending = None
-                continue
-            # OP_BARRIER
-            proc.pending = None
-            proc.state = _WAIT_BARRIER
-            self._fp.add(self._P)
-            waiting = self._barrier_waiting
-            waiting.append(rank)
-            if len(waiting) == self._P:
-                self._release_barrier()
-            elif proc.arrived:
-                self._try_drain(proc)
-            return
-
-    # -- receive side ------------------------------------------------
-
-    def _mailbox_take(self, proc, tag) -> bool:
-        mailbox = proc.mailbox
-        if tag is None:
-            if mailbox:
-                mailbox.pop(0)
-                return True
-            return False
-        for i, t in enumerate(mailbox):
-            if t == tag:
-                del mailbox[i]
-                return True
-        return False
-
-    def _try_drain(self, proc) -> None:
-        self._fp.add(proc.rank)
-        if not proc.arrived or proc.state == _RUNNING:
-            return
-        now = self._now
-        if self._lt(now, proc.busy_until):
-            self._sched_activation(proc, proc.busy_until)
-            return
-        if proc.pending_inject is not None and proc.stall_started is None:
-            return
-        earliest = self._add(proc.last_recv_start, _T_G, 0.0, self._g)
-        if self._lt(now, earliest):
-            self._sched_activation(proc, earliest)
-            return
-        msg = proc.arrived.pop(0)
-        end = self._add(now, _T_O, 0.0, self._o)
-        rank = proc.rank
-        proc.last_recv_start = now
-        proc.busy_until = end
-        proc.receives += 1
-        proc.last_activity = self._max(proc.last_activity, end)
-        if proc.pending_activations:
-            self._supersede_activations(proc, end)
-        self._inflight_to[rank] -= 1
-        if self._stall_queue[rank]:
-            self._release_dst_slot(rank)
-        self._sched(end, _EV_RECV_DONE, proc, msg)
-
-    def _on_recv_done(self, proc, msg) -> None:
-        self._fp.add(proc.rank)
-        state = proc.state
-        tag = msg.tag
-        if state == _WAIT_RECV and not proc.mailbox:
-            want = proc.pending[1]
-            if want is None or want == tag:
-                proc.pending = None
-                proc.state = _RUNNING
-                self._activate(proc)
-                return
-        proc.mailbox.append(tag)
-        if state == _POLLING:
-            proc.poll_drained += 1
-            self._activate(proc)
-            return
-        if state == _WAIT_RECV:
-            if self._mailbox_take(proc, proc.pending[1]):
-                proc.pending = None
-                proc.state = _RUNNING
-                self._activate(proc)
-                return
-        if proc.arrived and proc.state != _RUNNING:
-            self._try_drain(proc)
-        if proc.state == _STALL_SEND or proc.state == _WAIT_GAP:
-            self._sched_activation(
-                proc, self._max(self._now, proc.busy_until)
-            )
-
-    # -- injection / capacity ----------------------------------------
-
-    def _on_inject(self, proc) -> None:
-        self._fp.add(proc.rank)
-        if proc.pending_inject is None:
-            return
-        if self._try_inject(proc):
-            self._activate(proc)
-        else:
-            if proc.state != _DONE:
-                proc.state = _STALL_SEND
-            if proc.arrived:
-                self._try_drain(proc)
-
-    def _try_inject(self, proc) -> bool:
-        msg = proc.pending_inject
-        now = self._now
-        rank = msg.src
-        dst = msg.dst
-        self._fp.add(rank)
-        self._fp.add(dst)
-        if self._enforce:
-            needs_src = self._cap_ge(self._inflight_from[rank])
-            needs_dst = self._cap_ge(self._inflight_to[dst])
-            if needs_src or needs_dst:
-                self._park(proc, dst)
-                return False
-        if proc.stall_started is not None:
-            out = self._slot()
-            self.tape.code.append(
-                (
-                    _I_STALL,
-                    out,
-                    proc.stall_time[1],
-                    now[1],
-                    proc.stall_started[1],
-                )
-            )
-            proc.stall_time = (
-                proc.stall_time[0] + (now[0] - proc.stall_started[0]),
-                out,
-            )
-            proc.last_activity = self._max(proc.last_activity, now)
-            proc.stall_started = None
-        if proc.queued_on is not None:
-            self._stall_queue[proc.queued_on].remove(rank)
-            proc.queued_on = None
-        words = msg.words
-        fixed = self._flight_fixed
-        if words > 1:
-            k = float(words - 1)
-            gl = self._Gl or 0.0
-            # stream > 0 iff the per-point long Gap > 0 (k >= 1): a
-            # grid-dependent branch, so it needs its own constraint.
-            positive = k * gl > 0
-            if ("gl", positive) not in self._cap_seen:
-                self._cap_seen.add(("gl", positive))
-                self.tape.cons.append((_C_GLPOS, positive))
-            if fixed is not None:
-                # Fixed fast path: arrive = (now + stream) + flight.
-                withstream = self._add(now, _T_GLONG, k, k * gl)
-                msg.arrive = self._add(
-                    withstream, fixed[0], fixed[1], fixed[2]
-                )
-                if positive:
-                    proc.port_free = withstream
-            else:
-                # Fabric path: arrive = submit(now) + stream, with
-                # port_free = now + stream computed separately — the
-                # machine's exact expressions.
-                msg.arrive = self._add(
-                    self._flight_submit(now, rank, dst),
-                    _T_GLONG,
-                    k,
-                    k * gl,
-                )
-                if positive:
-                    proc.port_free = self._add(now, _T_GLONG, k, k * gl)
-        elif fixed is not None:
-            msg.arrive = self._add(now, fixed[0], fixed[1], fixed[2])
-        else:
-            msg.arrive = self._flight_submit(now, rank, dst)
-        self._inflight_from[rank] += 1
-        self._inflight_to[dst] += 1
-        proc.pending_inject = None
-        self._sched(msg.arrive, _EV_ARRIVAL, msg)
-        return True
-
-    def _flight_submit(self, now, src: int, dst: int):
-        """Tape the fabric path's ``submit`` arrival (pre-streaming)."""
-        model = self._flight_model
-        if model is not None:
-            # LatencyFabric.submit: t + model.draw(src, dst).  Record
-            # the stream *index*; replay supplies per-point values.
-            # No ancestor edge for the draw term: nothing structural
-            # guarantees another point's draw keeps the sum monotone,
-            # so every ordering constraint on it stays explicit.
-            idx = len(self.draw_pairs)
-            val = float(model.draw(src, dst))
-            self.draw_pairs.append((src, dst))
-            self._fp.add(self._P + 1)
-            out = self._slot()
-            self.tape.code.append((_I_ADD, out, now[1], _T_DRAW, idx))
-            return (now[0] + val, out)
-        # TopologyFabric.submit: (t + serialization) + hops * hop_delay
-        # — both terms pure functions of (src, dst), literal on every
-        # grid point.
-        fab = self._flight_topo
-        key = (src, dst)
-        hop = self._topo_flight.get(key)
-        if hop is None:
-            hop = len(fab._route_links(src, dst)) * fab.hop_delay
-            self._topo_flight[key] = hop
-        ser = fab.serialization
-        return self._add(self._add(now, _T_LIT, ser, ser), _T_LIT, hop, hop)
-
-    def _park(self, proc, dst) -> None:
-        if proc.stall_started is None:
-            proc.stall_started = self._now
-        if proc.queued_on is None:
-            proc.queued_on = dst
-            self._stall_queue[dst].append(proc.rank)
-
-    def _release_src_slot(self, src: int) -> None:
-        self._fp.add(src)
-        proc = self._procs[src]
-        if proc.stall_started is None or proc.pending_inject is None:
-            return
-        dst = proc.pending_inject.dst
-        self._fp.add(dst)
-        admitted = not self._cap_ge(
-            self._inflight_from[src]
-        ) and not self._cap_ge(self._inflight_to[dst])
-        if admitted:
-            self._sched_activation(
-                proc, self._max(self._now, proc.busy_until)
-            )
-
-    def _release_dst_slot(self, dst: int) -> None:
-        self._fp.add(dst)
-        queue = self._stall_queue[dst]
-        if not queue:
-            return
-        budget = self._capacity - self._inflight_to[dst]
-        for rank in queue:
-            # budget <= 0 iff (inflight + admissions so far) >= capacity;
-            # that count is path-structural, the capacity is per-point.
-            if self._cap_ge(self._capacity - budget):
-                break
-            self._fp.add(rank)
-            admitted = not self._cap_ge(self._inflight_from[rank])
-            if admitted:
-                budget -= 1
-                waiter = self._procs[rank]
-                self._sched_activation(
-                    waiter, self._max(self._now, waiter.busy_until)
-                )
-
-    def _on_arrival(self, msg) -> None:
-        src = msg.src
-        self._fp.add(src)
-        self._fp.add(msg.dst)
-        self._inflight_from[src] -= 1
-        src_proc = self._procs[src]
-        if src_proc.stall_started is not None:
-            self._release_src_slot(src)
-        dst = self._procs[msg.dst]
-        dst.arrived.append(msg)
-        if dst.state != _RUNNING:
-            if not self._lt(self._now, dst.busy_until):
-                self._try_drain(dst)
-            else:
-                self._sched_activation(dst, dst.busy_until)
-
-    # -- sleep / barrier ---------------------------------------------
-
-    def _on_wake(self, proc, wake) -> None:
-        self._fp.add(proc.rank)
-        if proc.state == _SLEEPING and not self._lt(self._now, wake):
-            if self._lt(self._now, proc.busy_until):
-                self._sched(proc.busy_until, _EV_WAKE, proc, wake)
-                return
-            proc.state = _RUNNING
-            self._activate(proc)
-
-    def _release_barrier(self) -> None:
-        self._fp.add(self._P)
-        release = self._add(
-            self._now, _T_LIT, self._hw_barrier, self._hw_barrier
-        )
-        waiting = self._barrier_waiting
-        self._barrier_waiting = []
-        for rank in waiting:
-            self._fp.add(rank)
-            proc = self._procs[rank]
-            self._sched(
-                self._max(release, proc.busy_until), _EV_BARRIER, rank
-            )
-
-    def _on_barrier_release(self, rank: int) -> None:
-        self._fp.add(rank)
-        proc = self._procs[rank]
-        if proc.state == _WAIT_BARRIER:
-            proc.state = _RUNNING
-            self._activate(proc)
-
-    def _check_completion(self) -> None:
-        stuck = [p.rank for p in self._procs if p.state != _DONE]
-        if stuck:
-            raise SimulationError(
-                f"deadlock: procs {stuck} never finished"
-            )
-        for proc in self._procs:
-            if proc.arrived or proc.pending_inject is not None:
-                raise SimulationError(
-                    f"proc {proc.rank} ended mid-flight"
-                )
 
 
 @dataclass(slots=True)
@@ -1100,8 +549,15 @@ def _term_values(term: int, k, arrs):
 _CONS_CHUNK = 512
 
 
-def _replay_numpy(tape: _Tape, arrs, caps):
-    np = _np
+def _replay(tape: _Tape, arrs, caps):
+    """Evaluate ``tape`` at every column of ``arrs``.
+
+    ``arrs`` is ``(L, o, g, send_interval, G, D)``: five per-column
+    parameter arrays and the draw inputs (``D[k]`` is draw ``k``'s
+    value, a scalar or a per-column row; ``None`` without draws).
+    Returns ``(ok, makespans, stalls)`` arrays; ``ok`` marks the columns
+    satisfying every constraint.
+    """
     npts = len(caps)
     # One (slot, point) matrix; ``out=`` targets write rows in place so
     # the code loop allocates no temporaries.  Slots are SSA, so an
@@ -1120,9 +576,6 @@ def _replay_numpy(tape: _Tape, arrs, caps):
             S[ins[1]] = _term_values(ins[2], ins[3], arrs)
         elif op == _I_ADDS:
             np.add(S[ins[2]], S[ins[3]], out=S[ins[1]])
-        elif op == _I_WADD:
-            np.multiply(S[ins[3]], ins[4], out=S[ins[1]])
-            np.add(S[ins[2]], S[ins[1]], out=S[ins[1]])
         else:  # _I_STALL
             np.subtract(S[ins[3]], S[ins[4]], out=S[ins[1]])
             np.add(S[ins[2]], S[ins[1]], out=S[ins[1]])
@@ -1171,109 +624,73 @@ def _replay_numpy(tape: _Tape, arrs, caps):
     return ok, mk, st
 
 
-def _replay_python(tape: _Tape, pts, caps):
-    """Scalar replay of one tape at each point: exact, numpy-free."""
-    oks = []
-    mks = []
-    sts = []
-    for (L, o, g, si, Gl, D), cap in zip(pts, caps):
-        arrs = (L, o, g, si, Gl, D)
-        slots: list = [0.0] * tape.n_slots
-        for ins in tape.code:
-            op = ins[0]
-            if op == _I_ADD:
-                slots[ins[1]] = slots[ins[2]] + _term_values(
-                    ins[3], ins[4], arrs
-                )
-            elif op == _I_MAX:
-                a = slots[ins[2]]
-                b = slots[ins[3]]
-                slots[ins[1]] = a if a >= b else b
-            elif op == _I_CONST:
-                slots[ins[1]] = _term_values(ins[2], ins[3], arrs)
-            elif op == _I_ADDS:
-                slots[ins[1]] = slots[ins[2]] + slots[ins[3]]
-            elif op == _I_WADD:
-                slots[ins[1]] = slots[ins[2]] + ins[4] * slots[ins[3]]
-            else:
-                slots[ins[1]] = slots[ins[2]] + (
-                    slots[ins[3]] - slots[ins[4]]
-                )
-        ok = True
-        for con in tape.cons:
-            c = con[0]
-            if c == _C_LE:
-                ok = slots[con[1]] <= slots[con[2]]
-            elif c == _C_LT:
-                ok = slots[con[1]] < slots[con[2]]
-            elif c == _C_EQ:
-                ok = slots[con[1]] == slots[con[2]]
-            elif c == _C_NE:
-                ok = slots[con[1]] != slots[con[2]]
-            elif c == _C_CLAMP:
-                t, n = slots[con[1]], slots[con[2]]
-                ok = (t < n) and (t >= n - _PAST_TOL)
-            elif c == _C_CAP:
-                ok = (con[1] >= cap) == con[2]
-            else:
-                ok = (Gl > 0) == con[1]
-            if not ok:
-                break
-        oks.append(bool(ok))
-        mks.append(slots[tape.makespan_slot])
-        sts.append(slots[tape.stall_slot])
-    return oks, mks, sts
+def _cover(
+    columns,
+    makespans: list,
+    stalls: list,
+    *,
+    max_tapes: int,
+    record: Callable,
+    replay_inputs: Callable,
+    fallback: Callable,
+    diverged: type,
+) -> tuple[int, int, list]:
+    """Fill ``columns`` by record → replay → keep uncovered → fallback.
 
-
-def _grid_timing(pts, latency, fabric):
-    """Resolve the grid's shared timing configuration.
-
-    The vectorized analogue of :func:`.evaluator._resolve_timing`:
-    same mutual-exclusion and bound validation (machine-identical
-    ``ValueError`` messages, checked at *every* grid point), returning
-    the recorder ``timing`` spec plus the latency model whose draw
-    stream feeds the replay (``None`` off the draw path).
+    The first uncovered column is the recording reference:
+    ``record(col)`` returns ``(recorder, (makespan, stall))`` and its
+    tape is replayed over the rest, ``replay_inputs(recorder, rest)``
+    supplying the :func:`_replay` arrays and capacities.  Columns
+    violating a constraint stay uncovered for the next reference, up to
+    ``max_tapes`` recordings; stragglers get the exact
+    ``fallback(col) -> (makespan, stall)``.  A column whose recording or
+    fallback raises ``diverged`` is left unfilled.  Returns
+    ``(tapes, fallbacks, divergent)``.
     """
-    if fabric is not None:
-        if latency is not None:
-            raise ValueError(
-                "give latency or fabric, not both (a plain latency "
-                "model is run as a LatencyFabric)"
-            )
-        if fabric.lossy:
-            raise ValueError(
-                "the compiled evaluator does not support lossy "
-                "fabrics: ARQ timeout-and-retry is timing-dependent "
-                "control flow — use the event machine"
-            )
-        for p in pts:
-            if fabric.bound > p.L + 1e-12:
-                raise ValueError(
-                    f"fabric unloaded bound {fabric.bound} exceeds "
-                    f"L={p.L}"
-                )
-        if type(fabric) is LatencyFabric:
-            model = fabric.model
-            if type(model) is FixedLatency:
-                return ("const", float(model.L)), None
-            return ("draw", model), model
-        if type(fabric) is TopologyFabric:
-            return ("topo", fabric), None
+    remaining = list(columns)
+    tapes = 0
+    divergent: list = []
+    while remaining and tapes < max_tapes:
+        ref = remaining.pop(0)
+        try:
+            rec, (makespans[ref], stalls[ref]) = record(ref)
+        except diverged:
+            divergent.append(ref)
+            continue
+        tapes += 1
+        if not remaining:
+            break
+        arrs, caps = replay_inputs(rec, remaining)
+        ok, mk, st = _replay(rec.tape, arrs, caps)
+        rest = remaining
+        remaining = []
+        for c, hit, m, s in zip(rest, ok.tolist(), mk.tolist(), st.tolist()):
+            if hit:
+                makespans[c] = m
+                stalls[c] = s
+            else:
+                remaining.append(c)
+    fallbacks = 0
+    for c in remaining:
+        try:
+            makespans[c], stalls[c] = fallback(c)
+        except diverged:
+            divergent.append(c)
+            continue
+        fallbacks += 1
+    return tapes, fallbacks, divergent
+
+
+def _recordable(timing: tuple) -> tuple:
+    """Refuse a timing spec the tape cannot lower: of the fabrics, only
+    ``LatencyFabric`` and the deterministic ``TopologyFabric`` record."""
+    if timing[0] == "fabric" and type(timing[1]) is not TopologyFabric:
         raise ValueError(
             "the compiled grid replay supports LatencyFabric and the "
-            f"deterministic TopologyFabric, not {type(fabric).__name__}"
+            f"deterministic TopologyFabric, not {type(timing[1]).__name__}"
             " — use the event machine"
         )
-    if latency is not None:
-        for p in pts:
-            if latency.L > p.L + 1e-12:
-                raise ValueError(
-                    f"latency model bound {latency.L} exceeds L={p.L}"
-                )
-        if type(latency) is FixedLatency:
-            return ("const", float(latency.L)), None
-        return ("draw", latency), latency
-    return ("params",), None
+    return timing
 
 
 def _validate_grid(compiled, pts, hw_barrier_cost, max_tapes, capacity):
@@ -1304,22 +721,22 @@ def _validate_grid(compiled, pts, hw_barrier_cost, max_tapes, capacity):
     return caps
 
 
-def _resolve_use_numpy(use_numpy):
-    if use_numpy is None:
-        return _np is not None
-    if use_numpy and _np is None:
-        raise RuntimeError("numpy requested but not importable")
-    return use_numpy
-
-
-def _raw_point(p):
-    return (
-        float(p.L),
-        float(p.o),
-        float(p.g),
-        float(p.send_interval),
-        float(getattr(p, "G", None) or 0.0),
-    )
+def _raw_points(pts):
+    """Per-point replay parameters as a ``(5, n)`` array: rows ``L``,
+    ``o``, ``g``, ``send_interval`` and the LogGP ``G`` (0 if none)."""
+    return np.array(
+        [
+            (
+                float(p.L),
+                float(p.o),
+                float(p.g),
+                float(p.send_interval),
+                float(getattr(p, "G", None) or 0.0),
+            )
+            for p in pts
+        ],
+        dtype=float,
+    ).T.copy()
 
 
 def evaluate_grid(
@@ -1334,7 +751,6 @@ def evaluate_grid(
     compute_jitter: Callable[[int, float], float] | None = None,
     max_events: int = 50_000_000,
     max_tapes: int = 32,
-    use_numpy: bool | None = None,
 ) -> GridResult:
     """Evaluate one compiled program at every parameter point in ``grid``.
 
@@ -1358,8 +774,6 @@ def evaluate_grid(
         fabric: a :class:`~repro.sim.net.LatencyFabric` or
             deterministic :class:`~repro.sim.net.TopologyFabric`;
             per-hop routed flight lowers to per-pair literals.
-        use_numpy: force (True) or forbid (False) the numpy replay;
-            ``None`` uses numpy when importable.
 
     A ``uses_now`` schedule (compiled by :func:`.evaluator.compile_at`)
     evaluates only at points reproducing its assumed clock readings;
@@ -1370,103 +784,53 @@ def evaluate_grid(
     if not pts:
         return GridResult([], [], 0, 0)
     caps = _validate_grid(compiled, pts, hw_barrier_cost, max_tapes, capacity)
-    timing, model = _grid_timing(pts, latency, fabric)
-    if fabric is not None:
-        fabric.reset()
-        fabric.attach(None, compiled.P, False)
-    use_numpy = _resolve_use_numpy(use_numpy)
-    n = len(pts)
-    raw = [_raw_point(p) for p in pts]
-    makespans = [0.0] * n
-    stalls = [0.0] * n
-    remaining = list(range(n))
-    tapes = 0
-    divergent: list[int] = []
-    while remaining and tapes < max_tapes:
-        ref = remaining[0]
+    timing = _recordable(_resolve_timing(pts, None, latency, fabric))
+    if timing[0] in ("draw", "fabric"):
+        timing[1].reset()
+        timing[1].attach(None, compiled.P, False)
+    model = timing[1].model if timing[0] == "draw" else None
+    core = dict(
+        enforce_capacity=enforce_capacity,
+        hw_barrier_cost=hw_barrier_cost,
+        compute_jitter=compute_jitter,
+        max_events=max_events,
+    )
+    raw = _raw_points(pts)
+    cap_arr = np.asarray(caps, dtype=np.int64)
+
+    def record(i):
         if model is not None:
             model.reset()
-        rec = _TapeEvaluator(
-            compiled,
-            pts[ref],
-            enforce_capacity=enforce_capacity,
-            capacity=caps[ref],
-            hw_barrier_cost=hw_barrier_cost,
-            compute_jitter=compute_jitter,
-            max_events=max_events,
-            timing=timing,
+        rec = _TapeRecorder(
+            compiled, pts[i], timing, capacity=caps[i], **core
         )
-        try:
-            out = rec.run()
-        except TimingDivergence:
-            divergent.append(ref)
-            remaining = remaining[1:]
-            continue
-        tapes += 1
-        makespans[ref] = out["makespan"]
-        stalls[ref] = out["total_stall_time"]
-        rest = remaining[1:]
-        if not rest:
-            remaining = []
-            break
+        return rec, rec.run()
+
+    def replay_inputs(rec, rest):
+        draws = None
         if model is not None and rec.draw_pairs:
             # One shared model: its params are fixed at construction
             # and it is reset per point, so every point sees the same
             # draw sequence — per-tape constants on the draw inputs.
             model.reset()
             draws = [float(v) for v in model.draw_batch(rec.draw_pairs)]
-        else:
-            draws = None
-        if use_numpy:
-            np = _np
-            arrs = tuple(
-                np.asarray([raw[i][k] for i in rest], dtype=float)
-                for k in range(5)
-            ) + (draws,)
-            cap_arr = np.asarray([caps[i] for i in rest], dtype=np.int64)
-            ok, mk, st = _replay_numpy(rec.tape, arrs, cap_arr)
-            next_remaining = []
-            for j, i in enumerate(rest):
-                if ok[j]:
-                    makespans[i] = float(mk[j])
-                    stalls[i] = float(st[j])
-                else:
-                    next_remaining.append(i)
-            remaining = next_remaining
-        else:
-            ok, mk, st = _replay_python(
-                rec.tape,
-                [(*raw[i], draws) for i in rest],
-                [caps[i] for i in rest],
-            )
-            next_remaining = []
-            for j, i in enumerate(rest):
-                if ok[j]:
-                    makespans[i] = mk[j]
-                    stalls[i] = st[j]
-                else:
-                    next_remaining.append(i)
-            remaining = next_remaining
-    fallbacks = 0
-    for i in remaining:
-        try:
-            res = evaluate(
-                compiled,
-                pts[i],
-                latency=latency,
-                fabric=fabric,
-                enforce_capacity=enforce_capacity,
-                capacity=capacity,
-                hw_barrier_cost=hw_barrier_cost,
-                compute_jitter=compute_jitter,
-                max_events=max_events,
-            )
-        except TimingDivergence:
-            divergent.append(i)
-            continue
-        fallbacks += 1
-        makespans[i] = res.makespan
-        stalls[i] = res.total_stall_time
+        return tuple(raw[:, rest]) + (draws,), cap_arr[rest]
+
+    def fallback(i):
+        res = evaluate(
+            compiled, pts[i], latency=latency, fabric=fabric,
+            capacity=capacity, **core,
+        )
+        return res.makespan, res.total_stall_time
+
+    n = len(pts)
+    makespans = [0.0] * n
+    stalls = [0.0] * n
+    tapes, fallbacks, divergent = _cover(
+        range(n), makespans, stalls, max_tapes=max_tapes, record=record,
+        replay_inputs=replay_inputs, fallback=fallback,
+        diverged=TimingDivergence,
+    )
     divergent.sort()
     return GridResult(makespans, stalls, tapes, fallbacks, divergent)
 
@@ -1483,7 +847,6 @@ def evaluate_seed_grid(
     compute_jitter: Callable[[int, float], float] | None = None,
     max_events: int = 50_000_000,
     max_tapes: int = 32,
-    use_numpy: bool | None = None,
 ) -> SeedGridResult:
     """Evaluate a compiled program over a (point x seed) product grid.
 
@@ -1517,28 +880,25 @@ def evaluate_seed_grid(
     if ncols == 0:
         return SeedGridResult([], [], npts, nseeds, 0, 0)
     caps = _validate_grid(compiled, pts, hw_barrier_cost, max_tapes, capacity)
-    use_numpy = _resolve_use_numpy(use_numpy)
-    raw = [_raw_point(p) for p in pts]
     models = []
+    timings = []
     for p in pts:
         for s in seed_list:
             m = latency_factory(p, s)
-            if m.L > p.L + 1e-12:
-                raise ValueError(
-                    f"latency model bound {m.L} exceeds L={p.L}"
-                )
+            timing = _resolve_timing([p], None, m, None)
+            if timing[0] == "const":
+                # Per-column constants: flight is draw input 0.
+                timing = ("const_axis", timing[1])
             models.append(m)
-    makespans = [0.0] * ncols
-    stalls = [0.0] * ncols
-    tapes = 0
-    fallbacks = 0
-    divergent: list[int] = []
-    drawn_cols = [
-        c for c in range(ncols) if type(models[c]) is not FixedLatency
-    ]
-    fixed_cols = [
-        c for c in range(ncols) if type(models[c]) is FixedLatency
-    ]
+            timings.append(timing)
+    core = dict(
+        enforce_capacity=enforce_capacity,
+        hw_barrier_cost=hw_barrier_cost,
+        compute_jitter=compute_jitter,
+        max_events=max_events,
+    )
+    raw = _raw_points(pts)
+    cap_arr = np.asarray(caps, dtype=np.int64)
     n_msgs = compiled.n_messages
     draw_cache: dict[int, list[float]] = {}
 
@@ -1561,104 +921,48 @@ def evaluate_seed_grid(
         mc.reset()
         return [float(v) for v in mc.draw_batch(pairs)]
 
-    for group, is_fixed in ((drawn_cols, False), (fixed_cols, True)):
-        remaining = group
-        while remaining and tapes < max_tapes:
-            ref = remaining[0]
-            m = models[ref]
-            p = pts[ref // nseeds]
-            if is_fixed:
-                timing = ("const_axis", float(m.L))
-            else:
-                m.reset()
-                timing = ("draw", m)
-            rec = _TapeEvaluator(
-                compiled,
-                p,
-                enforce_capacity=enforce_capacity,
-                capacity=caps[ref // nseeds],
-                hw_barrier_cost=hw_barrier_cost,
-                compute_jitter=compute_jitter,
-                max_events=max_events,
-                timing=timing,
-            )
-            try:
-                out = rec.run()
-            except TimingDivergence:
-                divergent.append(ref)
-                remaining = remaining[1:]
-                continue
-            tapes += 1
-            makespans[ref] = out["makespan"]
-            stalls[ref] = out["total_stall_time"]
-            rest = remaining[1:]
-            if not rest:
-                remaining = []
-                break
+    def record(c):
+        models[c].reset()
+        rec = _TapeRecorder(
+            compiled, pts[c // nseeds], timings[c],
+            capacity=caps[c // nseeds], **core,
+        )
+        return rec, rec.run()
+
+    def replay_inputs(rec, rest):
+        if rec._model is None:  # const_axis columns
+            D = np.asarray([[float(models[c].L) for c in rest]], dtype=float)
+        else:
             pairs = rec.draw_pairs
-            n_draws = 1 if is_fixed else len(pairs)
-            rest_caps = [caps[c // nseeds] for c in rest]
-            if use_numpy:
-                np = _np
-                if is_fixed:
-                    D = np.asarray(
-                        [[float(models[c].L) for c in rest]], dtype=float
-                    )
-                else:
-                    D = np.asarray(
-                        [_draw_col(c, pairs) for c in rest], dtype=float
-                    ).reshape(len(rest), n_draws).T
-                arrs = tuple(
-                    np.asarray(
-                        [raw[c // nseeds][k] for c in rest], dtype=float
-                    )
-                    for k in range(5)
-                ) + (D,)
-                cap_arr = np.asarray(rest_caps, dtype=np.int64)
-                ok, mk, st = _replay_numpy(rec.tape, arrs, cap_arr)
-                next_remaining = []
-                for j, c in enumerate(rest):
-                    if ok[j]:
-                        makespans[c] = float(mk[j])
-                        stalls[c] = float(st[j])
-                    else:
-                        next_remaining.append(c)
-                remaining = next_remaining
-            else:
-                rows = []
-                for c in rest:
-                    if is_fixed:
-                        dcol = [float(models[c].L)]
-                    else:
-                        dcol = _draw_col(c, pairs)
-                    rows.append((*raw[c // nseeds], dcol))
-                ok, mk, st = _replay_python(rec.tape, rows, rest_caps)
-                next_remaining = []
-                for j, c in enumerate(rest):
-                    if ok[j]:
-                        makespans[c] = mk[j]
-                        stalls[c] = st[j]
-                    else:
-                        next_remaining.append(c)
-                remaining = next_remaining
-        for c in remaining:
-            try:
-                res = evaluate(
-                    compiled,
-                    pts[c // nseeds],
-                    latency=models[c],
-                    enforce_capacity=enforce_capacity,
-                    capacity=capacity,
-                    hw_barrier_cost=hw_barrier_cost,
-                    compute_jitter=compute_jitter,
-                    max_events=max_events,
-                )
-            except TimingDivergence:
-                divergent.append(c)
-                continue
-            fallbacks += 1
-            makespans[c] = res.makespan
-            stalls[c] = res.total_stall_time
+            D = np.asarray(
+                [_draw_col(c, pairs) for c in rest], dtype=float
+            ).reshape(len(rest), len(pairs)).T
+        at = [c // nseeds for c in rest]
+        return tuple(raw[:, at]) + (D,), cap_arr[at]
+
+    def fallback(c):
+        res = evaluate(
+            compiled, pts[c // nseeds], latency=models[c],
+            capacity=capacity, **core,
+        )
+        return res.makespan, res.total_stall_time
+
+    makespans = [0.0] * ncols
+    stalls = [0.0] * ncols
+    tapes = 0
+    fallbacks = 0
+    divergent: list[int] = []
+    drawn = [c for c in range(ncols) if timings[c][0] == "draw"]
+    fixed = [c for c in range(ncols) if timings[c][0] == "const_axis"]
+    for group in (drawn, fixed):
+        t, f, d = _cover(
+            group, makespans, stalls, max_tapes=max_tapes - tapes,
+            record=record, replay_inputs=replay_inputs, fallback=fallback,
+            diverged=TimingDivergence,
+        )
+        tapes += t
+        fallbacks += f
+        divergent += d
     divergent.sort()
     return SeedGridResult(
         makespans, stalls, npts, nseeds, tapes, fallbacks, divergent
@@ -1678,7 +982,6 @@ def evaluate_forked(
     compute_jitter: Callable[[int, float], float] | None = None,
     max_events: int = 50_000_000,
     max_tapes: int = 32,
-    use_numpy: bool | None = None,
     max_forks: int | None = None,
 ) -> GridResult:
     """Branch-splitting grid evaluation of a timing-dependent program.
@@ -1737,7 +1040,6 @@ def evaluate_forked(
             compute_jitter=compute_jitter,
             max_events=max_events,
             max_tapes=max_tapes,
-            use_numpy=use_numpy,
         )
         tapes += gr.tapes
         fallbacks += gr.fallbacks

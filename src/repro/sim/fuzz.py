@@ -27,7 +27,11 @@ cross-checks every run three ways:
    :mod:`repro.sim.compiled` and the engine-free compiled evaluator
    must reproduce the machine *bit-identically* — makespan, event
    counts, per-rank accounting, return values, and the full
-   capacity-stall feed cross-checked through ``stall_report()``;
+   capacity-stall feed cross-checked through ``stall_report()`` — and
+   so must both halves of the grid path: a two-point
+   :func:`~repro.sim.compiled.evaluate_grid` at the case's parameters
+   answers point 0 from the tape recording and point 1 from the
+   vectorized replay;
 3. **analytic cross-check** — for families with a closed form
    (single-pair streams, disjoint pairwise streams) the simulated
    makespan must equal the formulas in :mod:`repro.core.cost` exactly;
@@ -613,10 +617,10 @@ def run_case(
                 case,
                 res,
                 where,
-                latency=(
-                    None
+                make_latency=(
+                    (lambda: None)
                     if fixed
-                    else make_latency(case.params.L, case.seed)
+                    else partial(make_latency, case.params.L, case.seed)
                 ),
             )
         )
@@ -735,18 +739,20 @@ def _check_compiled(
     res: MachineResult,
     where: str,
     *,
-    latency: LatencyModel | None = None,
+    make_latency: Callable[[], LatencyModel | None] = lambda: None,
 ) -> list[str]:
-    """Diff the compiled evaluator against the traced machine run.
+    """Diff the compiled evaluator and grid path against the machine run.
 
     Everything is compared with ``==`` — bit-identity, no tolerance:
     makespan, message/event counts, per-rank accounting, program return
     values, the raw stall/wakeup event feed, and the condensed
-    ``stall_report()`` the feed folds into.  ``latency`` is a fresh
-    same-seed model when the machine run drew flight times; the
-    evaluator resets it and must consume the identical stream.
+    ``stall_report()`` the feed folds into.  ``make_latency`` builds a
+    fresh same-seed model (``None`` for the fixed model) for each
+    evaluation; the evaluators reset it and must consume the identical
+    stream.  The grid check evaluates the case's point twice: point 0
+    comes from the tape recording, point 1 from the vectorized replay.
     """
-    from .compiled import CompileError, compile_programs, evaluate
+    from .compiled import CompileError, compile_programs, evaluate, evaluate_grid
 
     failures: list[str] = []
     try:
@@ -760,13 +766,32 @@ def _check_compiled(
         comp = evaluate(
             prog,
             case.params,
-            latency=latency,
+            latency=make_latency(),
             collect_stalls=True,
+            max_events=2_000_000,
+        )
+        grid = evaluate_grid(
+            prog,
+            [case.params, case.params],
+            latency=make_latency(),
             max_events=2_000_000,
         )
     except Exception as exc:  # noqa: BLE001 - any crash is a finding
         failures.append(f"{where}: compiled evaluation crashed: {exc!r}")
         return failures
+    if (grid.tapes, grid.fallbacks) != (1, 0):
+        failures.append(
+            f"{where}: grid replay did not cover its own reference point "
+            f"({grid.tapes} tapes, {grid.fallbacks} scalar fallbacks)"
+        )
+    want = (res.makespan, res.total_stall_time)
+    for i, half in enumerate(("tape recording", "vectorized replay")):
+        got = (grid.makespans[i], grid.total_stall_times[i])
+        if got != want:
+            failures.append(
+                f"{where}: grid {half} (makespan, stall) {got} != machine "
+                f"{want} (must be bit-identical)"
+            )
     if comp.makespan != res.makespan:
         failures.append(
             f"{where}: compiled makespan {comp.makespan} != machine "

@@ -612,7 +612,12 @@ class LogPMachine:
         if self._schedule is not None:
             self._schedule.sort_all()
             makespan = max(makespan, self._schedule.makespan)
-        total_stall = sum(p.result.stall_time for p in self._procs)
+        # Left-to-right float adds, not sum(): from Python 3.12 sum()
+        # compensates its rounding, which the compiled tapes (one add
+        # per rank) could not reproduce bit for bit.
+        total_stall = 0.0
+        for p in self._procs:
+            total_stall += p.result.stall_time
         extras: dict[str, Any] = {}
         if self._lossy:
             extras["net_faults"] = {**self._net_faults, **fab.fault_counts}

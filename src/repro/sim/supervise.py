@@ -1,12 +1,13 @@
 """Supervised process pool: crash-tolerant fan-out for :func:`sweep_map`.
 
-:class:`~repro.sim.sweep.WorkerPool` wraps ``multiprocessing.Pool``,
-whose blocking ``map()`` has no story for a worker that *dies*: a
-SIGKILLed child (the OOM killer at a 2^20-point folded grid, a chaos
-drill, a segfaulting extension) either hangs the call or poisons the
-whole pool.  The simulated machine learned crash-stop/detect/recover
-discipline in :mod:`repro.sim.faults`; this module gives the
-*infrastructure that runs the simulations* the same discipline.
+The repository's one persistent process pool.  A bare
+``multiprocessing.Pool`` has no story for a worker that *dies* in its
+blocking ``map()``: a SIGKILLed child (the OOM killer at a 2^20-point
+folded grid, a chaos drill, a segfaulting extension) either hangs the
+call or poisons the whole pool.  The simulated machine learned
+crash-stop/detect/recover discipline in :mod:`repro.sim.faults`; this
+module gives the *infrastructure that runs the simulations* the same
+discipline.
 
 :class:`SupervisedPool` keeps one ``multiprocessing.Process`` per
 worker slot with a dedicated duplex pipe, and dispatches chunks
@@ -45,10 +46,10 @@ results merge in submission order, bit-identical to the serial loop for
 any worker count and any interleaving of worker deaths, because retries
 recompute items from the same pickled inputs and a deterministic ``fn``
 (the repository-wide requirement) produces the same bytes on any
-attempt.  The pool duck-types :class:`~repro.sim.sweep.WorkerPool`
-(``workers`` / ``started`` / ``map`` / ``close``), so
-``sweep_map(..., pool=SupervisedPool(...))`` and the
-:mod:`repro.serve` server drop it in unchanged.
+attempt.  The pool offers what :func:`~repro.sim.sweep.sweep_map`
+dispatches through (``workers`` / ``started`` / ``map`` / ``close``),
+so ``sweep_map(..., pool=SupervisedPool(...))`` and the
+:mod:`repro.serve` server use it directly.
 
 What is *not* retried: an ordinary Python exception raised by ``fn``
 crosses the pipe and fails the call immediately (exceptions are
@@ -212,10 +213,9 @@ class _MapFailed(Exception):
 class SupervisedPool:
     """A self-healing process pool; see the module docstring.
 
-    Drop-in for :class:`~repro.sim.sweep.WorkerPool` wherever one is
-    passed to ``sweep_map(..., pool=...)``.  Not thread-safe: one
-    ``map`` at a time (the serve batcher and the bench loops already
-    serialize their sweeps).
+    Pass it to ``sweep_map(..., pool=...)`` to keep workers alive across
+    sweeps.  Not thread-safe: one ``map`` at a time (the serve batcher
+    and the bench loops already serialize their sweeps).
 
     Args:
         workers: slot count; ``None`` resolves via

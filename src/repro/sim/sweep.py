@@ -20,11 +20,13 @@ split into three layers:
    (``machine`` / ``compiled`` / ``auto``) through the compiled schedule
    evaluator (:mod:`repro.sim.compiled`) — compile once per distinct
    ``P``, replay vectorized.
-3. **Pooling** (:class:`WorkerPool`): a persistent process pool with the
-   same dispatch semantics as the ephemeral pool :func:`sweep_map`
-   creates by default.  Long-lived callers (the :mod:`repro.serve`
-   server) hold one open across requests so pool startup is paid once,
-   not per sweep.
+3. **Pooling** (:class:`repro.sim.supervise.SupervisedPool`): the one
+   persistent process pool, with the same dispatch semantics as the
+   ephemeral pool :func:`sweep_map` creates by default plus worker-death
+   healing.  Long-lived callers (the :mod:`repro.serve` server, bench
+   loops) hold one open across requests and pass it as
+   ``sweep_map(..., pool=...)``, so pool startup is paid once, not per
+   sweep.
 
 The determinism contract, shared by every layer:
 
@@ -56,7 +58,7 @@ The determinism contract, shared by every layer:
   :class:`SweepShortfallError` naming the missing indices instead of
   handing back a shortened, misaligned list.  Callers that need the
   sweep to *survive* worker death rather than merely diagnose it pass
-  a :class:`repro.sim.supervise.SupervisedPool` via ``pool=`` — same
+  the :class:`repro.sim.supervise.SupervisedPool` via ``pool=`` — same
   contract, plus restart/retry/quarantine.
 
 Worker-count resolution (:func:`resolve_workers`): an explicit argument
@@ -82,7 +84,10 @@ import pickle
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
+
+if TYPE_CHECKING:
+    from .supervise import SupervisedPool
 
 __all__ = [
     "ENV_WORKERS",
@@ -91,7 +96,6 @@ __all__ = [
     "SweepItemError",
     "SweepPlan",
     "SweepShortfallError",
-    "WorkerPool",
     "grid_map",
     "plan_sweep",
     "resolve_workers",
@@ -279,68 +283,6 @@ def _merge_guarded(wrapped: list, n_items: int) -> list:
     return slots
 
 
-class WorkerPool:
-    """A persistent process pool with :func:`sweep_map`'s semantics.
-
-    The ephemeral pool :func:`sweep_map` creates by default pays fork
-    and import startup on every call; a long-lived caller (the
-    :mod:`repro.serve` server, a bench loop) holds a ``WorkerPool`` open
-    and passes it via ``sweep_map(..., pool=...)`` instead.  The pool is
-    created lazily on first use, so constructing one costs nothing until
-    a sweep actually needs processes.  Results are identical either way
-    — the pool only changes where (and how often) processes start.
-    """
-
-    def __init__(self, workers: int | None = None):
-        self.workers = resolve_workers(workers)
-        self._pool = None
-
-    def _ensure(self):
-        if self._pool is None:
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
-            )
-            self._pool = ctx.Pool(processes=self.workers)
-        return self._pool
-
-    @property
-    def started(self) -> bool:
-        return self._pool is not None
-
-    def map(self, fn, items: list, chunksize: int) -> list:
-        # Pool.map blocks until every chunk finishes and returns results
-        # in submission order regardless of completion order.
-        return self._ensure().map(fn, items, chunksize=chunksize)
-
-    def close(self, drain: bool = True) -> None:
-        """Tear the pool down; ``drain`` picks outstanding work's fate.
-
-        The teardown contract (mirroring the server's
-        ``aclose(drain=...)``): ``drain=True`` (default) closes the
-        inbox and *joins* outstanding chunks so already-dispatched work
-        finishes cleanly — since :meth:`map` is synchronous there is
-        normally nothing in flight, making the drain free; it matters
-        for subclasses or futures-based callers.  ``drain=False``
-        terminates the workers immediately (the old unconditional
-        behaviour), abandoning anything in flight — the right call on
-        an error path where results are already moot.
-        """
-        if self._pool is not None:
-            if drain:
-                self._pool.close()
-            else:
-                self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 def sweep_map(
     fn: Callable[[_T], _R],
     items: Iterable[_T],
@@ -348,7 +290,7 @@ def sweep_map(
     workers: int | None = None,
     chunksize: int | None = None,
     min_chunk: int = 1,
-    pool: WorkerPool | None = None,
+    pool: SupervisedPool | None = None,
 ) -> list[_R]:
     """Map ``fn`` over ``items``, optionally across worker processes.
 
@@ -372,12 +314,11 @@ def sweep_map(
             items; a single remaining worker means the serial loop.
             Callers with ~millisecond items (the fuzz sweep) set this
             high enough that pool startup cannot exceed the work shipped.
-        pool: an open :class:`WorkerPool` (or the crash-tolerant
-            :class:`repro.sim.supervise.SupervisedPool` — anything with
-            ``workers`` / ``map(fn, items, chunksize)`` / ``close``) to
-            dispatch through instead of an ephemeral pool (its worker
-            count caps the plan).  The pool is left open for the caller
-            to reuse.
+        pool: an open :class:`repro.sim.supervise.SupervisedPool`
+            (anything with ``workers`` / ``map(fn, items, chunksize)`` /
+            ``close``) to dispatch through instead of an ephemeral pool
+            (its worker count caps the plan).  The pool is left open for
+            the caller to reuse.
     """
     items = list(items)
     eff_workers = (
@@ -518,7 +459,6 @@ def grid_map(
     heartbeat=None,
     max_events: int = 50_000_000,
     max_tapes: int = 32,
-    use_numpy: bool | None = None,
     report: GridMapReport | None = None,
 ) -> list[tuple[float, float]]:
     """Evaluate one program family at every parameter point of ``grid``.
@@ -564,7 +504,7 @@ def grid_map(
             (see :mod:`repro.sim.faults`), shared across points.  Both
             are machine-only: ``backend="auto"`` or ``"compiled"``
             refuses them loudly, exactly like a lossy fabric.
-        max_tapes / use_numpy: forwarded to
+        max_tapes: forwarded to
             :func:`repro.sim.compiled.evaluate_grid`.
         report: a :class:`GridMapReport` to fill with the per-``P``
             dispatch decisions (which path ran, and the ``CompileError``
@@ -660,7 +600,6 @@ def grid_map(
             compute_jitter=compute_jitter,
             max_events=max_events,
             max_tapes=max_tapes,
-            use_numpy=use_numpy,
         )
         try:
             prog = compile_programs(programs, P)

@@ -10,7 +10,8 @@ Also covered: the machine-kwarg variants the evaluator mirrors
 (capacity override, ``enforce_capacity=False``, ``hw_barrier_cost``,
 ``merge_overhead_into_gap`` parameter sets, LogGP long messages),
 capacity-stall accounting cross-checked through ``stall_report()``,
-numpy-vs-pure-python replay parity, the seed-axis differential (seeded
+the one timing resolver shared by every entry point (same refusal type
+and text for each bad setting), the seed-axis differential (seeded
 latency draws replayed as per-column tape inputs, pinned bit-identical
 over 100 seeds x 3 fuzz families), TopologyFabric per-hop lowering on
 the Section 5 topologies, branch-splitting for bounded ``Now``
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.algorithms.broadcast import binomial_tree, pipelined_broadcast_program
 from repro.core import LogPParams
 from repro.core.loggp import LogGPParams
 from repro.sim import (
@@ -39,16 +41,20 @@ from repro.sim import (
 from repro.sim.compiled import (
     BACKENDS,
     CompileError,
+    FoldError,
     TimingDependentError,
     backend_ineligibility,
     compile_programs,
     evaluate,
+    evaluate_folded,
+    evaluate_folded_grid,
     evaluate_grid,
     evaluate_seed_grid,
+    fold_program,
     resolve_backend,
 )
 from repro.sim.fuzz import LATENCIES, make_case
-from repro.sim.net import LatencyFabric, TopologyFabric
+from repro.sim.net import FaultyFabric, LatencyFabric, TopologyFabric
 from repro.sim.sweep import GridMapReport, grid_map
 
 BASE = LogPParams(L=6, o=2, g=4, P=8)
@@ -248,15 +254,6 @@ def test_grid_matches_machine_per_point(factory):
         ), f"grid point {i} ({p.L}, {p.o}, {p.g}) diverged"
 
 
-def test_grid_numpy_python_replay_parity():
-    pytest.importorskip("numpy")
-    prog = compile_programs(_bcast, 8)
-    a = evaluate_grid(prog, GRID, use_numpy=True)
-    b = evaluate_grid(prog, GRID, use_numpy=False)
-    assert a.makespans == b.makespans
-    assert a.total_stall_times == b.total_stall_times
-
-
 def test_grid_scalar_fallback_is_exact():
     """With max_tapes=0 every point takes the scalar-replay fallback."""
     prog = compile_programs(_flood, 8)
@@ -317,6 +314,71 @@ def test_backend_refuses_load_dependent_fabric(backend):
     assert reason is not None and "runtime load" in reason
     with pytest.raises(ValueError, match="runtime load"):
         resolve_backend(backend, latency=None, fabric=fabric)
+
+
+#: Bad timing settings, built fresh per call: each must be refused with
+#: one error type and one text, whichever entry point receives it.
+BAD_TIMING = {
+    "latency and fabric": lambda: dict(
+        latency=FixedLatency(8.0), fabric=LatencyFabric(FixedLatency(8.0))
+    ),
+    "lossy fabric": lambda: dict(
+        fabric=FaultyFabric(LatencyFabric(FixedLatency(8.0)), drop=0.1)
+    ),
+    "fabric bound over L": lambda: dict(
+        fabric=LatencyFabric(FixedLatency(12.0))
+    ),
+    "latency bound over L": lambda: dict(latency=FixedLatency(12.0)),
+    "seeded latency bound over L": lambda: dict(
+        latency=UniformLatency(12.0, lo_frac=0.5, seed=1)
+    ),
+}
+
+
+def _timing_entry_points():
+    """The four evaluation entry points, on one foldable broadcast."""
+    P = 8
+    point = LogPParams(L=8.0, o=2.0, g=4.0, P=P)
+    prog = compile_programs(
+        pipelined_broadcast_program(binomial_tree(P), [0]), P
+    )
+    folded = fold_program(prog)
+    return {
+        "evaluate": lambda kw: evaluate(prog, point, **kw),
+        "evaluate_grid": lambda kw: evaluate_grid(prog, [point], **kw),
+        "evaluate_folded": lambda kw: evaluate_folded(folded, point, **kw),
+        "evaluate_folded_grid": lambda kw: evaluate_folded_grid(
+            folded, [point], **kw
+        ),
+    }
+
+
+@pytest.mark.parametrize("setting", sorted(BAD_TIMING))
+def test_bad_timing_refused_alike_on_every_entry_point(setting):
+    """One timing resolver: the same bad setting raises the same error
+    type with the same text on the scalar, grid, folded and folded-grid
+    paths."""
+    refusals = {}
+    for name, call in _timing_entry_points().items():
+        with pytest.raises(ValueError) as info:
+            call(BAD_TIMING[setting]())
+        refusals[name] = (type(info.value), str(info.value))
+    assert len(set(refusals.values())) == 1, refusals
+
+
+def test_fold_refusal_names_the_fabric_it_was_given():
+    """A fabric fold cannot represent is a FoldError naming that fabric
+    on both folded paths; the scalar path accepts it (fabric.submit) and
+    the grid path refuses it as unrecordable."""
+    from repro.sim.net import ContentionFabric
+
+    entries = _timing_entry_points()
+    for name in ("evaluate_folded", "evaluate_folded_grid"):
+        with pytest.raises(FoldError, match="ContentionFabric"):
+            entries[name](dict(fabric=ContentionFabric.ring(8, L=8)))
+    with pytest.raises(ValueError, match="not ContentionFabric"):
+        entries["evaluate_grid"](dict(fabric=ContentionFabric.ring(8, L=8)))
+    entries["evaluate"](dict(fabric=ContentionFabric.ring(8, L=8)))
 
 
 def test_backend_accepts_latency_fabric():
@@ -466,25 +528,6 @@ def test_seed_grid_differential_fuzz_families(lat_name):
                 mres.makespan,
                 mres.total_stall_time,
             ), f"family {case.family} seed {s} diverged under {lat_name}"
-
-
-def test_seed_grid_numpy_python_replay_parity():
-    pytest.importorskip("numpy")
-    make = LATENCIES["jittered"]
-    for case in _distinct_family_cases():
-        prog = compile_programs(case.factory, case.params.P)
-        a, b = (
-            evaluate_seed_grid(
-                prog,
-                [case.params],
-                range(N_SEEDS),
-                lambda p, s: make(p.L, s),
-                use_numpy=use,
-            )
-            for use in (True, False)
-        )
-        assert a.makespans == b.makespans, case.family
-        assert a.total_stall_times == b.total_stall_times, case.family
 
 
 def test_seed_grid_point_major_layout():

@@ -11,8 +11,7 @@ Covered here:
   lattice; the one-message stream folds to 2; floods and reductions
   refuse loudly);
 * bit-identity of every aggregate and every expanded per-rank view
-  against the unfolded evaluator and the machine, scalar and grid,
-  numpy and pure-python replay;
+  against the unfolded evaluator and the machine, scalar and grid;
 * the class-compact constructors (``binomial_tree_folded``,
   ``optimal_broadcast_tree_folded``) against the generic fold of their
   own expansions, plus the machine differential at sub-sampled large P;
@@ -241,16 +240,6 @@ class TestFoldedGrid:
                 continue
             assert fr.makespans[i] == ref.makespans[i]
             assert fr.total_stall_times[i] == ref.total_stall_times[i]
-
-    def test_numpy_and_python_replay_identical(self):
-        folded = fold_program(
-            compile_programs(_tree_factory(binomial_tree(32)), 32)
-        )
-        a = evaluate_folded_grid(folded, self.GRID, use_numpy=True)
-        b = evaluate_folded_grid(folded, self.GRID, use_numpy=False)
-        assert a.makespans == b.makespans
-        assert a.total_stall_times == b.total_stall_times
-        assert a.divergent == b.divergent
 
     def test_seeded_latency_refuses(self):
         folded = fold_program(

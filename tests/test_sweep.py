@@ -16,11 +16,11 @@ import pytest
 
 from repro.sim import FixedLatency, LogPMachine, stall_report
 from repro.sim.fuzz import make_case
+from repro.sim.supervise import SupervisedPool
 from repro.sim.sweep import (
     ENV_WORKERS,
     SweepItemError,
     SweepShortfallError,
-    WorkerPool,
     _merge_guarded,
     plan_sweep,
     resolve_workers,
@@ -465,10 +465,12 @@ class TestPlanSweep:
 
 
 class TestWorkerPool:
-    """The persistent pool: lazy start, reuse, identical results."""
+    """The persistent worker pool (``SupervisedPool``) under
+    ``sweep_map``: lazy start, reuse, identical results, indexed
+    failure and teardown."""
 
     def test_lazy_until_first_parallel_sweep(self):
-        with WorkerPool(workers=2) as pool:
+        with SupervisedPool(workers=2) as pool:
             assert not pool.started
             out = sweep_map(_square, [3], workers=2, pool=pool)
             assert out == [9]
@@ -476,14 +478,14 @@ class TestWorkerPool:
 
     def test_reused_across_sweeps_with_serial_results(self):
         serial = [x * x for x in range(20)]
-        with WorkerPool(workers=2) as pool:
+        with SupervisedPool(workers=2) as pool:
             first = sweep_map(_square, range(20), pool=pool)
             assert pool.started
             second = sweep_map(_square, range(20), pool=pool)
             assert first == serial and second == serial
 
     def test_pool_failure_still_carries_index(self):
-        with WorkerPool(workers=2) as pool:
+        with SupervisedPool(workers=2) as pool:
             with pytest.raises(ZeroDivisionError) as excinfo:
                 sweep_map(
                     _reciprocal, [2, 1, 0], pool=pool, chunksize=1
@@ -491,24 +493,24 @@ class TestWorkerPool:
             assert excinfo.value.__cause__.index == 2
 
     def test_close_is_idempotent(self):
-        pool = WorkerPool(workers=2)
+        pool = SupervisedPool(workers=2)
         pool.close()
         pool.close()
 
     def test_close_drain_joins_after_inflight_work(self):
         # drain=True is the graceful teardown contract: in-flight chunks
         # finish, workers join — no unconditional terminate mid-chunk.
-        pool = WorkerPool(workers=2)
+        pool = SupervisedPool(workers=2)
         out = sweep_map(_square, range(20), pool=pool)
         pool.close(drain=True)
         assert out == [x * x for x in range(20)]
         pool.close(drain=False)  # still idempotent after a drain
 
     def test_close_without_drain_terminates(self):
-        pool = WorkerPool(workers=2)
+        pool = SupervisedPool(workers=2)
         sweep_map(_square, range(20), pool=pool)
         pool.close(drain=False)
-        assert pool._pool is None
+        assert not pool.started
 
 
 class TestGridMapUnfilled:
