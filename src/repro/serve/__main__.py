@@ -99,7 +99,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--snapshot-every", type=int, default=256, metavar="N",
         help="with --cache-dir: compact the journal into a snapshot "
-        "every N journaled results (default 256)",
+        "once it holds as many results as the last snapshot, and at "
+        "least N (a floor, not a period; default 256)",
     )
     parser.add_argument(
         "--max-pending", type=int, default=None, metavar="POINTS",
@@ -120,8 +121,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--chaos", action="store_true",
         help="run the service chaos harness (worker SIGKILLs, server "
-        "kill -9 + journal replay, torn-tail recovery, deadline and "
-        "overload drills) and exit",
+        "kill -9 + journal replay, torn-tail recovery, kill -9 after "
+        "compaction, deadline and overload drills) and exit",
     )
     parser.add_argument(
         "--chaos-points", type=int, default=500, metavar="N",

@@ -29,12 +29,18 @@ eviction counters surfaced through the server's stats endpoint and the
 ``serve_cache_hit`` bench workload.
 
 Persistence (:class:`CachePersistence`) makes the cache survive server
-restarts: every ``put`` is appended to a write-ahead JSONL journal
-(``journal.jsonl`` under ``cache_dir``), periodically compacted into a
-snapshot (``snapshot.jsonl``, written atomically via a temp file +
-``os.replace``, after which the journal restarts empty).  On startup
-the snapshot is replayed first, then the journal.  Replay is defensive
-in exactly two ways, both loud:
+restarts: every ``put`` is preceded by an append to a write-ahead JSONL
+journal (``journal.jsonl`` under ``cache_dir``), which is compacted
+into a snapshot (``snapshot.jsonl``, written atomically via a temp
+file + ``os.replace``, after which the journal restarts empty) once it
+holds as many records as the last snapshot wrote, and never fewer than
+``snapshot_every``.  Each rewrite is thus paid for by as many journaled
+results as it rewrites: compaction costs a constant number of record
+encodes per result whatever the cache size, and the files stay bounded
+(a snapshot of at most the cache's entries, a journal below
+``max(snapshot_every, last snapshot)`` records at every compaction
+check).  On startup the snapshot is replayed first, then the journal.
+Replay is defensive in exactly two ways, both loud:
 
 * **Fingerprint validation.**  Each record stores the family name and
   canonical args alongside the fingerprint it was computed under; at
@@ -57,6 +63,7 @@ the un-journaled tail of the very last write.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import warnings
@@ -203,13 +210,14 @@ def _retuple(obj):
 class CachePersistence:
     """Journal/snapshot store under ``cache_dir``; owns no cache.
 
-    The server calls :meth:`record` after every cache ``put`` and
+    The server calls :meth:`record` before every cache ``put`` and
     :meth:`load` once at startup (replaying entries *into* its cache);
-    :meth:`snapshot` compacts on the server's cadence
-    (``snapshot_every`` records, plus one on graceful close).  Counters
-    in :attr:`stats` surface through the ``stats`` endpoint's
-    ``persistence`` block so an operator can see replay results without
-    reading logs.
+    :meth:`snapshot` compacts whenever :attr:`snapshot_due` says so,
+    plus once on graceful close.  ``snapshot_every`` is the floor of
+    that growth rule, not a period.  Counters in :attr:`stats` surface
+    through the ``stats`` endpoint's ``persistence`` block so an
+    operator can see replay results and write failures without reading
+    logs.
     """
 
     JOURNAL = "journal.jsonl"
@@ -226,13 +234,17 @@ class CachePersistence:
         self.journal_path = os.path.join(cache_dir, self.JOURNAL)
         self.snapshot_path = os.path.join(cache_dir, self.SNAPSHOT)
         self._journal_fh = None
+        #: Journal records since the last snapshot, and that snapshot's
+        #: size: the two sides of :attr:`snapshot_due`.
         self._since_snapshot = 0
+        self._snapshot_size = 0
         self.stats = {
             "loaded": 0,
             "dropped_stale": 0,
             "torn_tails": 0,
             "journal_records": 0,
             "snapshots": 0,
+            "snapshot_errors": 0,
         }
 
     # -- encoding ------------------------------------------------------
@@ -286,14 +298,19 @@ class CachePersistence:
         Returns validated ``(program, args, key, pair)`` tuples in
         write order (so an LRU refilled in order keeps recency), with
         stale-fingerprint entries dropped loudly and torn tails
-        truncated in place.
+        truncated in place.  The records read seed the compaction
+        counters: later appends continue this journal, so it counts
+        toward the next :attr:`snapshot_due` as if never interrupted.
         """
         from .registry import fingerprint
 
         entries = []
         current_fp: dict[tuple, str | None] = {}
+        read = []
         for path in (self.snapshot_path, self.journal_path):
+            read.append(0)
             for obj in self._read_records(path):
+                read[-1] += 1
                 try:
                     program, args, key, pair = self._decode(obj)
                 except (KeyError, TypeError, ValueError, IndexError):
@@ -310,6 +327,7 @@ class CachePersistence:
                     continue
                 entries.append((program, args, key, pair))
                 self.stats["loaded"] += 1
+        self._snapshot_size, self._since_snapshot = read
         if self.stats["dropped_stale"]:
             warnings.warn(
                 f"cache replay dropped {self.stats['dropped_stale']} "
@@ -367,20 +385,46 @@ class CachePersistence:
 
         A flush is durability enough for the fault model here (process
         SIGKILL): the bytes live in the OS page cache, which survives
-        the process.  Machine-level power loss is out of scope.
+        the process.  Machine-level power loss is out of scope.  A
+        failed append (disk full, cache dir removed) re-raises its
+        ``OSError`` after cutting the journal back to its last whole
+        record, so no later append can extend the fragment.
         """
+        line = (self._encode(program, args, key, pair) + "\n").encode()
         if self._journal_fh is None:
-            self._journal_fh = open(
-                self.journal_path, "a", encoding="utf-8"
-            )
-        self._journal_fh.write(self._encode(program, args, key, pair) + "\n")
-        self._journal_fh.flush()
+            self._journal_fh = open(self.journal_path, "ab")
+        fh = self._journal_fh
+        end = fh.tell()
+        try:
+            fh.write(line)
+            fh.flush()
+        except OSError:
+            # Closing drops (or, given room again, completes) the bytes
+            # the failed flush kept buffered; the truncate removes both.
+            self._journal_fh = None
+            with contextlib.suppress(OSError):
+                fh.close()
+            with contextlib.suppress(OSError):
+                os.truncate(self.journal_path, end)
+            raise
         self.stats["journal_records"] += 1
         self._since_snapshot += 1
 
     @property
     def snapshot_due(self) -> bool:
-        return self._since_snapshot >= self.snapshot_every
+        """The growth rule: compact once the journal holds as many
+        records as the last snapshot wrote, and at least
+        ``snapshot_every``.
+
+        A snapshot of S entries rewrites at most the S' entries of the
+        one before plus the J >= max(snapshot_every, S') records
+        journaled since, so S <= 2J: compaction costs at most two
+        record encodes per journaled result, where a fixed period would
+        re-encode the whole cache every ``snapshot_every`` results.
+        """
+        return self._since_snapshot >= max(
+            self.snapshot_every, self._snapshot_size
+        )
 
     def snapshot(self, entries) -> None:
         """Compact: atomically rewrite the snapshot, restart the journal.
@@ -391,19 +435,41 @@ class CachePersistence:
         is not an archive).  The snapshot lands via temp file +
         ``os.replace`` so a kill mid-compaction leaves the old snapshot
         intact; only after the replace is the journal reset.
+
+        A failed write (disk full, cache dir removed) is not raised:
+        the old snapshot and journal stay as they were and still hold
+        every entry, the partial temp file is removed, the failure
+        counts in ``snapshot_errors`` (with one warning per store), and
+        :attr:`snapshot_due` stays true so the next check retries.
         """
         tmp = self.snapshot_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for program, args, key, pair in entries:
-                fh.write(self._encode(program, args, key, pair) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.snapshot_path)
-        if self._journal_fh is not None:
-            self._journal_fh.close()
-        self._journal_fh = open(self.journal_path, "w", encoding="utf-8")
-        self._journal_fh.flush()
+        written = 0
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                for program, args, key, pair in entries:
+                    fh.write(self._encode(program, args, key, pair) + "\n")
+                    written += 1
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, self.snapshot_path)
+            self.close()
+            self._journal_fh = open(self.journal_path, "wb")
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            self.stats["snapshot_errors"] += 1
+            if self.stats["snapshot_errors"] == 1:
+                warnings.warn(
+                    f"cache snapshot under {self.cache_dir} failed ({exc}); "
+                    "the previous snapshot and the journal still hold every "
+                    "entry; compaction retries at each later check "
+                    "(further failures count in snapshot_errors)",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            return
         self.stats["snapshots"] += 1
+        self._snapshot_size = written
         self._since_snapshot = 0
 
     def close(self) -> None:

@@ -1,6 +1,6 @@
 """Service-level chaos harness: kill things, demand bit-identical results.
 
-``python -m repro.serve --chaos`` runs five drills against the real
+``python -m repro.serve --chaos`` runs six drills against the real
 service stack (no mocks, no injected seams — actual SIGKILLs, a real
 server subprocess, real journal bytes) and exits nonzero unless every
 surviving result is bit-identical to the serial ``grid_map`` and no
@@ -23,11 +23,17 @@ run outlives its deadline:
    rule out).  A third server must drop exactly the torn record
    (``torn_tails == 1``), keep every whole one, and recompute the
    missing point to the same bits.
-4. **Deadline over a wedged-slow job.**  A heavy machine-backend
+4. **Kill -9 after compaction.**  Drill 2's requests on a fresh cache
+   dir with ``--snapshot-every 2``, so the server compacts three times
+   and is SIGKILLed with both a snapshot and a non-empty journal on
+   disk.  The second life must load every computed point from the two
+   (``loaded == points``, ``dropped_stale == 0``) and serve all of them
+   warm and bit-identical.
+5. **Deadline over a wedged-slow job.**  A heavy machine-backend
    request with a short deadline must fail with a typed
    ``deadline-exceeded`` error frame — promptly, not after the
    computation — and leave the server responsive.
-5. **Overload shedding.**  With a small ``max_pending_points``, an
+6. **Overload shedding.**  With a small ``max_pending_points``, an
    oversized request must be refused with a typed ``overloaded`` frame
    (plus ``retry_after``) while an in-bounds request still succeeds.
 
@@ -143,21 +149,27 @@ def _worker_kill_drill(check, points: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# Drills 2 + 3: kill -9 a real server subprocess; replay the journal.
+# Drills 2-4: kill -9 a real server subprocess; replay the journal.
 # ----------------------------------------------------------------------
 
 
-def _spawn_server(cache_dir: str) -> tuple[subprocess.Popen, str, int]:
+def _spawn_server(
+    cache_dir: str, snapshot_every: int | None = None
+) -> tuple[subprocess.Popen, str, int]:
     src = Path(__file__).resolve().parents[2]
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src) + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
+    extra = [] if snapshot_every is None else [
+        "--snapshot-every", str(snapshot_every)
+    ]
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.serve",
             "--port", "0", "--workers", "1",
             "--batch-window", "0.002", "--cache-dir", cache_dir,
+            *extra,
         ],
         env=env,
         stdout=subprocess.PIPE,
@@ -240,7 +252,8 @@ def _fire_and_forget(host, port, payload) -> None:
     _rpc(go)
 
 
-def _server_kill_drills(check, tmpdir: str) -> None:
+def _kill_drill_requests() -> tuple[list, dict]:
+    """Six 2-point requests and their serial ``grid_map`` pairs."""
     requests = [
         {
             "program": "bcast_tree",
@@ -262,6 +275,26 @@ def _server_kill_drills(check, tmpdir: str) -> None:
         )
         for i, r in enumerate(requests)
     }
+    return requests, want
+
+
+def _serve_warm(check, name: str, host, port, requests, want) -> None:
+    """Every request again: all points from the cache, same bits."""
+    n_points = sum(len(r["points"]) for r in requests)
+    warm_ok, cache_hits = True, 0
+    for i, r in enumerate(requests):
+        frame = _submit_once(host, port, **r)
+        warm_ok = warm_ok and [tuple(p) for p in frame["results"]] == want[i]
+        cache_hits += frame["sources"].get("cache", 0)
+    check(
+        name,
+        warm_ok and cache_hits == n_points,
+        f"{cache_hits}/{n_points} points served from the replayed cache",
+    )
+
+
+def _server_kill_drills(check, tmpdir: str) -> None:
+    requests, want = _kill_drill_requests()
     n_points = sum(len(r["points"]) for r in requests)
     journal = Path(tmpdir) / CachePersistence.JOURNAL
 
@@ -314,15 +347,9 @@ def _server_kill_drills(check, tmpdir: str) -> None:
             f"dropped_stale={persist.get('dropped_stale')} "
             f"torn_tails={persist.get('torn_tails')}",
         )
-        warm_ok, cache_hits = True, 0
-        for i, r in enumerate(requests):
-            frame = _submit_once(host, port, **r)
-            warm_ok = warm_ok and [tuple(p) for p in frame["results"]] == want[i]
-            cache_hits += frame["sources"].get("cache", 0)
-        check(
-            "replayed_results_bit_identical_and_warm",
-            warm_ok and cache_hits == n_points,
-            f"{cache_hits}/{n_points} points served from the replayed cache",
+        _serve_warm(
+            check, "replayed_results_bit_identical_and_warm",
+            host, port, requests, want,
         )
     finally:
         proc.kill()  # SIGKILL again: the journal must stay untouched
@@ -360,8 +387,59 @@ def _server_kill_drills(check, tmpdir: str) -> None:
         proc.wait(timeout=30)
 
 
+def _compacted_kill_drill(check, tmpdir: str) -> None:
+    """Drill 4: SIGKILL with both a snapshot and a journal on disk.
+
+    At ``--snapshot-every 2`` the six 2-point groups compact after the
+    1st, 2nd and 4th (the growth rule doubles the due point with the
+    snapshot), leaving 8 points in the snapshot and 4 in the journal.
+    """
+    requests, want = _kill_drill_requests()
+    n_points = sum(len(r["points"]) for r in requests)
+    cache_dir = Path(tmpdir)
+    proc, host, port = _spawn_server(tmpdir, snapshot_every=2)
+    try:
+        first = [
+            [tuple(p) for p in _submit_once(host, port, **r)["results"]]
+            for r in requests
+        ]
+        persist = _stats_once(host, port).get("persistence") or {}
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+    parity = all(first[i] == want[i] for i in want)
+    records = (cache_dir / CachePersistence.JOURNAL).read_bytes().count(b"\n")
+    check(
+        "killed_after_compaction",
+        parity
+        and persist.get("snapshots", 0) >= 2
+        and (cache_dir / CachePersistence.SNAPSHOT).exists()
+        and records > 0,
+        f"parity={parity}, snapshots={persist.get('snapshots')}, "
+        f"{records} journal record(s) at the SIGKILL",
+    )
+
+    proc, host, port = _spawn_server(tmpdir, snapshot_every=2)
+    try:
+        persist = _stats_once(host, port).get("persistence") or {}
+        check(
+            "compacted_replay_complete",
+            persist.get("loaded") == n_points
+            and persist.get("dropped_stale", 0) == 0,
+            f"loaded={persist.get('loaded')} of {n_points}, "
+            f"dropped_stale={persist.get('dropped_stale')}",
+        )
+        _serve_warm(
+            check, "compacted_replay_bit_identical_and_warm",
+            host, port, requests, want,
+        )
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+
+
 # ----------------------------------------------------------------------
-# Drills 4 + 5: deadline expiry and overload shedding (in-process).
+# Drills 5 + 6: deadline expiry and overload shedding (in-process).
 # ----------------------------------------------------------------------
 
 
@@ -484,6 +562,12 @@ def run_service_chaos(out: str | None = None, *, points: int = 500) -> int:
         (
             "server_kill_drills",
             lambda: _server_kill_drills(
+                check, tempfile.mkdtemp(prefix="repro-chaos-")
+            ),
+        ),
+        (
+            "compacted_kill_drill",
+            lambda: _compacted_kill_drill(
                 check, tempfile.mkdtemp(prefix="repro-chaos-")
             ),
         ),

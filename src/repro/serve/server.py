@@ -327,8 +327,11 @@ class ServeConfig:
     refused with :class:`ServerOverloaded`, never queued into a silent
     hang);
     ``default_deadline`` applies to jobs that don't carry their own;
-    ``cache_dir`` enables cache persistence (write-ahead journal +
-    snapshot every ``snapshot_every`` records, replayed on restart).
+    ``cache_dir`` enables cache persistence (write-ahead journal,
+    replayed on restart, compacted into a snapshot once it holds as many
+    records as the last snapshot wrote and at least ``snapshot_every``:
+    a floor, not a period; see
+    :attr:`repro.serve.cache.CachePersistence.snapshot_due`).
     """
 
     workers: int | None = None
@@ -870,23 +873,35 @@ class SimulationServer:
                 pool=self._pool,
             )
         except Exception as exc:  # noqa: BLE001 - failing the jobs, not us
-            self.stats["errors"] += 1
-            for key in keys:
-                fut = self._inflight.pop(key, None)
-                if fut is not None and not fut.done():
-                    fut.set_exception(exc)
+            self._fail_group(keys, exc)
             return
+        persist = self._persist
         for key, pair in zip(keys, pairs):
+            if persist is not None:
+                # Write-ahead: journaled before it is cached or any client
+                # observes it, so a crash cannot have served (and a later
+                # hit cannot serve) un-replayable bits.
+                try:
+                    persist.record(program, args, key, pair)
+                except OSError as exc:
+                    # Disk full or cache dir gone: fail what is not yet
+                    # journaled, keep the batcher serving.
+                    self._fail_group(keys, exc)
+                    return
             self.cache.put(key, pair)
-            if self._persist is not None:
-                # Write-ahead: journaled before any client observes the
-                # value, so a crash cannot have served un-replayable bits.
-                self._persist.record(program, args, key, pair)
             fut = self._inflight.pop(key, None)
             if fut is not None and not fut.done():
                 fut.set_result(pair)
-        if self._persist is not None and self._persist.snapshot_due:
+        if persist is not None and persist.snapshot_due:
             self._snapshot()
+
+    def _fail_group(self, keys: list, exc: BaseException) -> None:
+        """Fail the group's still-unresolved points with ``exc``."""
+        self.stats["errors"] += 1
+        for key in keys:
+            fut = self._inflight.pop(key, None)
+            if fut is not None and not fut.done():
+                fut.set_exception(exc)
 
     def _snapshot(self) -> None:
         entries = []

@@ -6,7 +6,10 @@ Four failure axes, each with its contract:
   (JSON shortest-repr floats are lossless), a stale fingerprint is
   dropped loudly, a torn journal tail is truncated to the last whole
   record, and a server killed with ``kill -9`` mid-job replays its
-  journal on restart and serves the same bits warm.
+  journal on restart and serves the same bits warm.  Compaction follows
+  the growth rule (snapshots scale with results over cache size, the
+  journal stays bounded, restarts included), and a failed journal or
+  snapshot write never stops the batcher.
 * **Deadlines** — an expired job fails with
   :class:`~repro.serve.JobDeadlineError` promptly; the shared
   computation (and the server) outlives the failed waiter.
@@ -22,11 +25,17 @@ Timing assertions carry generous slack: CI runs this on one busy core.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import errno
+import io
+import math
+import os
 import time
 import warnings
 
 import pytest
 
+import repro.serve.cache
 from repro.core import LogPParams
 from repro.serve import (
     CachePersistence,
@@ -206,6 +215,231 @@ class TestPersistenceUnit:
         reader = CachePersistence(str(tmp_path))
         assert reader.load() == entries[:2]
         assert (tmp_path / CachePersistence.JOURNAL).read_text() == ""
+
+
+def _lines(path) -> int:
+    return len(path.read_bytes().splitlines()) if path.exists() else 0
+
+
+class TestCompaction:
+    """The growth rule: a snapshot is paid for by as many journaled
+    results as it rewrites."""
+
+    def test_snapshots_scale_with_results_over_cache_size(self, tmp_path):
+        C, F, N = 64, 4, 640
+        journal = tmp_path / CachePersistence.JOURNAL
+        snapshot = tmp_path / CachePersistence.SNAPSHOT
+
+        async def run():
+            config = ServeConfig(
+                batch_window=0.0,
+                use_pool=False,
+                cache_dir=str(tmp_path),
+                cache_entries=C,
+                snapshot_every=F,
+            )
+            async with SimulationServer(config) as server:
+                sizes = []
+                for start in range(0, N, 4):
+                    points = [
+                        LogPParams(L=4.0 + 0.25 * i, o=1.0, g=2.0, P=8)
+                        for i in range(start, start + 4)
+                    ]
+                    await server.run_request(_request(points=points))
+                    sizes.append((_lines(journal), _lines(snapshot)))
+                # The files as a kill -9 would leave them: every record
+                # flushed, no graceful snapshot.
+                replayed = {
+                    key: pair
+                    for _p, _a, key, pair in CachePersistence(
+                        str(tmp_path)
+                    ).load()
+                }
+                live = dict(server.cache.items())
+                return server.stats_snapshot(), sizes, live, replayed
+
+        stats, sizes, live, replayed = asyncio.run(run())
+        assert stats["cache"]["evictions"] == N - C
+        # A fixed period of F would have compacted N / F = 160 times.
+        assert stats["persistence"]["snapshots"] <= (
+            math.log2(C / F) + N / C + 2
+        )
+        assert all(j <= max(F, snap) for j, snap in sizes), sizes
+        assert len(live) == C
+        assert {key: replayed.get(key) for key in live} == live
+
+    def test_restart_counts_the_replayed_journal(self, tmp_path):
+        from repro.serve.cache import CacheKey
+        from repro.serve.registry import fingerprint
+
+        F = 4
+        fp = fingerprint("bcast_tree", {"k": 6})
+        writer = CachePersistence(str(tmp_path))
+        for i in range(F):  # a journal at its bound, left by a kill -9
+            key = CacheKey(fp, (40.0 + i, 1.0, 2.0, 8, None), None, "compiled")
+            writer.record("bcast_tree", (("k", 6),), key, (50.5 + i, 1.0))
+        writer.close()
+
+        async def run():
+            config = ServeConfig(
+                batch_window=0.0,
+                use_pool=False,
+                cache_dir=str(tmp_path),
+                snapshot_every=F,
+            )
+            async with SimulationServer(config) as server:
+                replayed = server.stats_snapshot()["persistence"]
+                await server.run_request(_request(points=POINTS[:1]))
+                after = server.stats_snapshot()["persistence"]
+                journal = tmp_path / CachePersistence.JOURNAL
+                return replayed, after, _lines(journal)
+
+        replayed, after, journal_lines = asyncio.run(run())
+        assert replayed["since_snapshot"] == F
+        assert after["snapshots"] == 1  # the first group compacts
+        assert journal_lines == 0
+        assert _lines(tmp_path / CachePersistence.SNAPSHOT) == F + 1
+
+
+class _FillingDisk(io.FileIO):
+    """A file whose disk fills during write number ``whole + 1``: that
+    write lands half its bytes and the next raises ENOSPC, as write(2)
+    does on a full disk."""
+
+    def __init__(self, path, mode, whole):
+        super().__init__(path, mode)
+        self.whole = whole
+        self.full = False
+
+    def write(self, data):
+        if self.full:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        if self.whole == 0:
+            self.full = True
+            return super().write(bytes(data)[: len(data) // 2])
+        self.whole -= 1
+        return super().write(data)
+
+
+def _fill_disk(monkeypatch, suffix: str, whole: int) -> None:
+    """Open files ending in ``suffix`` on a disk that fills; see
+    :class:`_FillingDisk`.  Other files open normally."""
+
+    def fake_open(path, mode="r", **kw):
+        if not str(path).endswith(suffix):
+            return open(path, mode, **kw)
+        buffered = io.BufferedWriter(_FillingDisk(path, mode, whole))
+        return buffered if "b" in mode else io.TextIOWrapper(buffered, **kw)
+
+    monkeypatch.setattr(repro.serve.cache, "open", fake_open, raising=False)
+
+
+@contextlib.asynccontextmanager
+async def _undrained(config):
+    """A started server closed without draining: with the test's
+    ``wait_for`` bound, a dead batcher fails the test instead of
+    hanging it (a draining close would wait on its points forever)."""
+    server = await SimulationServer(config).start()
+    try:
+        yield server
+    finally:
+        await server.aclose(drain=False)
+
+
+class TestPersistenceWriteFaults:
+    """A failed journal or snapshot write never stops the batcher."""
+
+    def test_failed_append_fails_the_rest_of_the_group(
+        self, tmp_path, monkeypatch
+    ):
+        journal = tmp_path / CachePersistence.JOURNAL
+
+        async def run():
+            config = ServeConfig(
+                batch_window=0.0, use_pool=False, cache_dir=str(tmp_path)
+            )
+            async with _undrained(config) as server:
+                # Two records land whole, the third is cut mid-line.
+                _fill_disk(monkeypatch, CachePersistence.JOURNAL, whole=2)
+                with pytest.raises(OSError) as excinfo:
+                    await server.run_request(_request())
+                after_failure = journal.read_bytes()
+                errors = server.stats_snapshot()["errors"]
+                monkeypatch.undo()
+                job = await server.submit(_request())
+                results = await job.wait()
+                return (
+                    excinfo.value, after_failure, errors, results,
+                    job.sources,
+                )
+
+        bounded = asyncio.wait_for(run(), timeout=60)
+        exc, after_failure, errors, results, sources = asyncio.run(bounded)
+        assert exc.errno == errno.ENOSPC
+        assert errors == 1
+        # No fragment left for the next append to extend.
+        assert after_failure.count(b"\n") == 2
+        assert after_failure.endswith(b"\n")
+        # Only the journaled points were cached.
+        assert sources == {"cache": 2, "inflight": 0, "computed": 2}
+        reader = CachePersistence(str(tmp_path))
+        loaded = reader.load()
+        assert reader.stats["torn_tails"] == 0
+        assert [pair for _p, _a, _k, pair in loaded] == results
+
+    def test_failed_snapshot_keeps_the_old_files_and_retries(
+        self, tmp_path, monkeypatch
+    ):
+        journal = tmp_path / CachePersistence.JOURNAL
+        snapshot = tmp_path / CachePersistence.SNAPSHOT
+        tmp = tmp_path / (CachePersistence.SNAPSHOT + ".tmp")
+
+        async def run():
+            config = ServeConfig(
+                batch_window=0.0,
+                use_pool=False,
+                cache_dir=str(tmp_path),
+                snapshot_every=4,
+            )
+            async with _undrained(config) as server:
+                await server.run_request(_request(seed=1))  # compacts
+                old_snapshot = snapshot.read_bytes()
+                _fill_disk(monkeypatch, ".tmp", whole=0)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    # Each of the next two requests ends due, and each
+                    # compaction fails.
+                    second = await server.run_request(_request(seed=2))
+                    failed = (
+                        snapshot.read_bytes() == old_snapshot,
+                        _lines(journal),
+                        tmp.exists(),
+                        server.stats_snapshot()["persistence"],
+                    )
+                    await server.run_request(_request(seed=3))
+                monkeypatch.undo()
+                fourth = await server.run_request(_request(seed=4))
+                return (
+                    failed, caught, second, fourth,
+                    server.stats_snapshot()["persistence"],
+                )
+
+        bounded = asyncio.wait_for(run(), timeout=60)
+        failed, caught, second, fourth, stats = asyncio.run(bounded)
+        same_snapshot, journal_lines, tmp_left, failed_stats = failed
+        assert same_snapshot
+        assert journal_lines == 4  # the second request's records, intact
+        assert not tmp_left
+        assert failed_stats["snapshot_errors"] == 1
+        assert failed_stats["snapshots"] == 1
+        warned = [w for w in caught if "snapshot" in str(w.message)]
+        assert len(warned) == 1  # once, not per failure
+        assert len(second) == len(fourth) == len(POINTS)
+        # The retry at the next due point succeeds once the disk has room.
+        assert stats["snapshot_errors"] == 2
+        assert stats["snapshots"] == 2
+        assert _lines(journal) == 0
+        assert _lines(snapshot) == 4 * len(POINTS)
 
 
 class TestKillNineReplay:
