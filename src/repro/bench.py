@@ -17,9 +17,6 @@ pytest-benchmark suite:
   through a ring :class:`~repro.sim.net.TopologyFabric` and a flood
   through a :class:`~repro.sim.net.ContentionFabric` (the network-fabric
   smoke numbers CI archives);
-* ``sweep_scaling`` — the same fuzz workload through the parallel sweep
-  runner at 1 and 2 workers (wall time; informational — on a single
-  core the pool adds overhead, on a multicore box it amortizes);
 * ``compiled_grid`` / ``compiled_grid_machine`` — an o-sensitivity
   parameter grid (dense overhead sweep of a pipelined optimal-tree
   broadcast at several ``P``) through :func:`repro.sim.sweep.grid_map`
@@ -55,13 +52,6 @@ pytest-benchmark suite:
   evaluated per rank versus the class-compact constructor folded and
   evaluated per class, bit-identity verified first, with the headline
   ``folded_vs_unfolded_speedup`` recorded (target >= 50x);
-* ``serve_throughput`` / ``serve_cache_hit`` — the :mod:`repro.serve`
-  job server under sustained sequential traffic: single-point requests
-  cycling over a fixed parameter pool (first cycle computes, the rest
-  is cache service) and the identical multi-point sweep re-requested
-  until it is pure cache hits.  Beyond the gated timings, the report
-  records ``serve_requests_per_s`` and ``serve_cache_hit_rate`` as
-  first-class serving baselines.
 * ``serve_degraded`` — serving throughput *under fire*: machine-backend
   sweeps sharded across a :class:`~repro.sim.supervise.SupervisedPool`
   while a killer thread SIGKILLs one pool worker per period.  Every
@@ -239,7 +229,7 @@ def _fabric_contended(k: int) -> None:
     machine.run(prog)
 
 
-def _fuzz(seeds: int, workers: int) -> None:
+def _fuzz(seeds: int) -> None:
     # compiled_check/chaos_check=False keeps this workload's cost
     # identical to what records predating the compiled backend and the
     # chaos harness measured (each has its own workload); correctness
@@ -247,7 +237,7 @@ def _fuzz(seeds: int, workers: int) -> None:
     summary = fuzz_sweep(
         range(seeds),
         ("fixed",),
-        workers=workers,
+        workers=1,
         compiled_check=False,
         chaos_check=False,
     )
@@ -309,52 +299,6 @@ def _chaos_broadcast(
                     "wedged_ranks": rep.wedged_ranks,
                 }
             )
-
-
-def _serve_requests(
-    requests: list, *, batch_window: float = 0.0
-) -> dict:
-    """Serve ``requests`` sequentially on a fresh in-process server.
-
-    Sequential awaits measure sustained request service time — the
-    cache/dedup/batch layer plus simulation — not pipelining tricks.
-    Returns the server's stats snapshot (cache hit rate included).
-    """
-    import asyncio
-
-    from .serve import ServeConfig, SimulationServer
-
-    async def _run() -> dict:
-        config = ServeConfig(batch_window=batch_window, use_pool=False)
-        async with SimulationServer(config) as server:
-            for request in requests:
-                job = await server.submit(request)
-                await job.wait()
-            return server.stats_snapshot()
-
-    return asyncio.run(_run())
-
-
-def _serve_throughput_requests(n_requests: int, distinct: int) -> list:
-    """``n_requests`` single-point requests cycling over ``distinct``
-    parameter points: the first cycle computes, the rest is cache
-    service — the sustained-traffic shape the serving layer exists for.
-    """
-    from .serve import SweepRequest
-
-    pool = [
-        LogPParams(L=6.0, o=0.5 + 0.05 * i, g=4.0, P=4)
-        for i in range(distinct)
-    ]
-    return [
-        SweepRequest.make(
-            "stream",
-            [pool[i % distinct]],
-            args={"k": 8},
-            backend="compiled",
-        )
-        for i in range(n_requests)
-    ]
 
 
 def _serve_degraded_requests(
@@ -440,23 +384,6 @@ def _serve_degraded(
             return elapsed, deaths, server.stats_snapshot()
 
     return asyncio.run(_run())
-
-
-def _serve_cache_hit_requests(n_requests: int, n_points: int) -> list:
-    """The identical ``n_points``-point sweep ``n_requests`` times: one
-    cold batch, then pure cache hits (the hit-rate baseline)."""
-    from .serve import SweepRequest
-
-    points = [
-        LogPParams(L=6.0, o=0.25 + 0.125 * i, g=4.0, P=8)
-        for i in range(n_points)
-    ]
-    return [
-        SweepRequest.make(
-            "bcast_tree", points, args={"k": 8}, backend="compiled"
-        )
-        for _ in range(n_requests)
-    ]
 
 
 def _bcast_stream_factory(k: int):
@@ -749,10 +676,6 @@ def run_all(
     folded_P = 2**17
     folded_n_o = 16 if smoke else 64
     fvu_P = 2**10 if smoke else 2**14
-    serve_reqs = 64 if smoke else 512
-    serve_distinct = 16 if smoke else 64
-    serve_hit_reqs = 16 if smoke else 128
-    serve_hit_points = 16 if smoke else 32
     degraded_reqs = 10 if smoke else 48
     degraded_points = 8 if smoke else 16
     degraded_kill_period = 0.03 if smoke else 1.0
@@ -782,7 +705,7 @@ def run_all(
         )
     if want("fuzz_smoke"):
         timings["fuzz_smoke_s"] = _best_of(
-            lambda: _fuzz(seeds, 1), max(1, reps // 3)
+            lambda: _fuzz(seeds), max(1, reps // 3)
         )
     fault_reports: list = []
     if want("chaos_broadcast"):
@@ -850,30 +773,6 @@ def run_all(
             max(1, reps // 3),
         )
     serve_metrics: dict[str, float] = {}
-    if want("serve"):
-        tp_requests = _serve_throughput_requests(
-            serve_reqs, serve_distinct
-        )
-        hit_requests = _serve_cache_hit_requests(
-            serve_hit_reqs, serve_hit_points
-        )
-        timings["serve_throughput_s"] = _best_of(
-            lambda: _serve_requests(tp_requests), max(1, reps // 3)
-        )
-        timings["serve_cache_hit_s"] = _best_of(
-            lambda: _serve_requests(hit_requests), max(1, reps // 3)
-        )
-        # First-class serving baselines: sustained requests/sec over the
-        # throughput mix, hit rate over the repeat mix (one extra
-        # instrumented run each; the timing keys above are what
-        # --baseline gates).
-        serve_metrics["serve_requests_per_s"] = round(
-            len(tp_requests) / timings["serve_throughput_s"], 1
-        )
-        hit_stats = _serve_requests(hit_requests)
-        serve_metrics["serve_cache_hit_rate"] = hit_stats["cache"][
-            "hit_rate"
-        ]
     degraded_deaths = 0
     if want("serve_degraded"):
         # One instrumented run (not best-of-N): the SIGKILL schedule is
@@ -891,13 +790,6 @@ def run_all(
             len(dg_requests) / dg_elapsed, 1
         )
         serve_metrics["serve_degraded_worker_deaths"] = degraded_deaths
-    sweep_scaling: dict[str, float] = {}
-    if want("sweep"):
-        _fuzz(seeds, 1)  # warm up (imports, generator JIT-ish costs)
-        sweep_scaling = {
-            str(w): _best_of(lambda: _fuzz(seeds, w), max(3, reps // 2))
-            for w in (1, 2)
-        }
 
     from .hostinfo import host_fingerprint
 
@@ -965,16 +857,6 @@ def run_all(
                 "points": 8,
                 "family": "binomial broadcast",
             },
-            "serve_throughput": {
-                "requests": serve_reqs,
-                "distinct_points": serve_distinct,
-                "family": "stream",
-            },
-            "serve_cache_hit": {
-                "requests": serve_hit_reqs,
-                "points": serve_hit_points,
-                "family": "bcast_tree",
-            },
             "serve_degraded": {
                 "requests": degraded_reqs,
                 "points": degraded_points,
@@ -986,7 +868,6 @@ def run_all(
             },
         },
         "timings_s": timings,
-        "sweep_scaling_s": sweep_scaling,
     }
     if serve_metrics:
         report.update(serve_metrics)
@@ -1093,8 +974,7 @@ def main(argv: list[str] | None = None) -> int:
         "--only", default=None, metavar="PREFIX",
         help="run only workloads whose name starts with PREFIX "
         "(e.g. 'compiled' for the grid-evaluator pair, 'folded' for "
-        "folded_broadcast_grid + folded_vs_unfolded, 'serve' for the "
-        "job-server pair)",
+        "folded_broadcast_grid + folded_vs_unfolded)",
     )
     parser.add_argument(
         "--fault-report-out", default=None, metavar="PATH",
@@ -1117,8 +997,6 @@ def main(argv: list[str] | None = None) -> int:
         if "speedup_vs_pr1" in report and key in report["speedup_vs_pr1"]:
             line += f"   {report['speedup_vs_pr1'][key]:5.2f}x vs PR 1"
         print(line)
-    for w, val in report["sweep_scaling_s"].items():
-        print(f"{'sweep[workers=' + w + ']':24s} {val * 1e3:9.2f} ms")
     for stem in ("compiled_grid", "compiled_seed_sweep", "compiled_topology_grid"):
         key = f"{stem}_speedup"
         if key in report:
@@ -1134,16 +1012,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     if "max_rss_kb" in report:
         print(f"{'peak RSS':24s} {report['max_rss_kb'] / 1024:9.1f} MB")
-    if "serve_requests_per_s" in report:
-        print(
-            f"{'serve requests/sec':24s} "
-            f"{report['serve_requests_per_s']:9.1f} /s"
-        )
-    if "serve_cache_hit_rate" in report:
-        print(
-            f"{'serve cache hit rate':24s} "
-            f"{report['serve_cache_hit_rate'] * 100:9.1f} %"
-        )
 
     regressed = False
     if args.baseline is not None:

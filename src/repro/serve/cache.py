@@ -26,7 +26,7 @@ pins cold-vs-warm.
 
 The store is a plain LRU (``OrderedDict`` move-to-end) with hit/miss/
 eviction counters surfaced through the server's stats endpoint and the
-``serve_cache_hit`` bench workload.
+hit rate in the ``python -m repro.serve --smoke`` report.
 
 Persistence (:class:`CachePersistence`) makes the cache survive server
 restarts: every ``put`` is preceded by an append to a write-ahead JSONL

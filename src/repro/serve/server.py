@@ -319,9 +319,10 @@ class ServeConfig:
     smallest per-worker share of a batch worth a process dispatch —
     the server-side analogue of the scheduler's ``min_chunk``.
 
-    With ``use_pool``, sharded batches run on a
+    With ``workers > 1``, sharded batches run on a
     :class:`~repro.sim.supervise.SupervisedPool` (worker death is
-    detected, retried, and quarantined).  The robustness knobs:
+    detected, retried, and quarantined); ``workers=1`` means no pool,
+    every batch evaluated in-process.  The robustness knobs:
     ``max_pending_points`` bounds admission (``None`` = unbounded — a
     request that would push the in-flight point count past the bound is
     refused with :class:`ServerOverloaded`, never queued into a silent
@@ -338,7 +339,6 @@ class ServeConfig:
     batch_window: float = 0.002
     shard_min_points: int = 512
     cache_entries: int = 65_536
-    use_pool: bool = True
     max_pending_points: int | None = None
     default_deadline: float | None = None
     cache_dir: str | None = None
@@ -548,7 +548,7 @@ class SimulationServer:
         self.config = config or ServeConfig()
         self.cache = ResultCache(self.config.cache_entries)
         self.workers = resolve_workers(self.config.workers)
-        if self.config.use_pool and self.workers > 1:
+        if self.workers > 1:
             # A SIGKILLed pool worker (OOM, chaos) is restarted and its
             # chunk retried instead of wedging the batch.
             self._pool = SupervisedPool(self.workers)

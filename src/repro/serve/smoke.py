@@ -15,8 +15,8 @@ end-to-end check against a real TCP server on an ephemeral port:
    directly in this process, and the warm pass must be served entirely
    from cache.
 2. **Throughput.**  A burst of small submissions over one connection;
-   sustained requests/sec is recorded (informational here — the gated
-   numbers live in ``repro.bench``'s ``serve_throughput`` workload).
+   sustained requests/sec is recorded (informational here — perfbench's
+   ``serve_hot`` workload measures this read path under its bounds).
 3. **Artifact.**  A JSON report (parity verdicts, requests/sec, cache
    hit rate, server counters) written for CI to upload.
 

@@ -1,13 +1,15 @@
 """Supervised process pool: crash-tolerant fan-out for :func:`sweep_map`.
 
-The repository's one persistent process pool.  A bare
-``multiprocessing.Pool`` has no story for a worker that *dies* in its
-blocking ``map()``: a SIGKILLed child (the OOM killer at a 2^20-point
-folded grid, a chaos drill, a segfaulting extension) either hangs the
-call or poisons the whole pool.  The simulated machine learned
-crash-stop/detect/recover discipline in :mod:`repro.sim.faults`; this
-module gives the *infrastructure that runs the simulations* the same
-discipline.
+The repository's one process pool: every parallel sweep runs on it,
+either on a pool its caller keeps open across sweeps (the
+:mod:`repro.serve` server) or on one :func:`~repro.sim.sweep.sweep_map`
+opens for a single call.  A bare ``multiprocessing.Pool`` has no story
+for a worker that *dies* in its blocking ``map()``: a SIGKILLed child
+(the OOM killer at a 2^20-point folded grid, a chaos drill, a
+segfaulting extension) either hangs the call or poisons the whole pool.
+The simulated machine learned crash-stop/detect/recover discipline in
+:mod:`repro.sim.faults`; this module gives the *infrastructure that runs
+the simulations* the same discipline.
 
 :class:`SupervisedPool` keeps one ``multiprocessing.Process`` per
 worker slot with a dedicated duplex pipe, and dispatches chunks
@@ -19,6 +21,9 @@ asynchronously from a supervision loop:
   per-chunk heartbeat deadline (``chunk_timeout``) additionally SIGKILLs
   and replaces a worker whose chunk has produced nothing for too long
   (a wedged worker is indistinguishable from a dead one to callers).
+  A chunk queued behind busy workers waits in that same call; only a
+  future backoff gate shortens it, so the parent sleeps instead of
+  polling and leaves the cores to its workers.
 * **Restart.**  A dead worker slot is refilled immediately; the
   ``restarts`` counter is surfaced through the server's health stats.
 * **Retry with backoff.**  The dead worker's orphaned chunk is
@@ -47,9 +52,9 @@ any worker count and any interleaving of worker deaths, because retries
 recompute items from the same pickled inputs and a deterministic ``fn``
 (the repository-wide requirement) produces the same bytes on any
 attempt.  The pool offers what :func:`~repro.sim.sweep.sweep_map`
-dispatches through (``workers`` / ``started`` / ``map`` / ``close``),
-so ``sweep_map(..., pool=SupervisedPool(...))`` and the
-:mod:`repro.serve` server use it directly.
+dispatches through (``workers`` / ``started`` / ``map`` / ``close``);
+leaving a ``with`` block on an exception closes it without draining,
+so Ctrl-C on a sweep does not wait for in-flight chunks.
 
 What is *not* retried: an ordinary Python exception raised by ``fn``
 crosses the pipe and fails the call immediately (exceptions are
@@ -364,8 +369,10 @@ class SupervisedPool:
     def __enter__(self) -> "SupervisedPool":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, *exc) -> None:
+        # Leaving on an exception (Ctrl-C, a failed map) kills the
+        # workers: nothing waits on chunks whose results are moot.
+        self.close(drain=exc_type is None)
 
     # -- the supervised map --------------------------------------------
 
@@ -513,10 +520,18 @@ class SupervisedPool:
                     h.chunk = c
                     h.since = now
 
-                # How long may we sleep without missing a wake-up?
+                # How long may we sleep without missing a wake-up?  A
+                # ready chunk waits for a busy worker's pipe or sentinel,
+                # which the wait below watches; only a future backoff
+                # gate shortens the sleep.  A worker replaced at send
+                # time is idle beside ready work, so that must not sleep.
+                idle = any(h.chunk is None for h in self._handles)
                 timeout = self.tick
                 for c in queue:
-                    timeout = min(timeout, max(0.0, c.not_before - now))
+                    if c.not_before > now:
+                        timeout = min(timeout, c.not_before - now)
+                    elif idle:
+                        timeout = 0.0
                 if deadline_at is not None:
                     timeout = min(timeout, max(0.0, deadline_at - now))
                 if self.chunk_timeout is not None:

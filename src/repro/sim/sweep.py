@@ -21,12 +21,12 @@ split into three layers:
    evaluator (:mod:`repro.sim.compiled`) — compile once per distinct
    ``P``, replay vectorized.
 3. **Pooling** (:class:`repro.sim.supervise.SupervisedPool`): the one
-   persistent process pool, with the same dispatch semantics as the
-   ephemeral pool :func:`sweep_map` creates by default plus worker-death
-   healing.  Long-lived callers (the :mod:`repro.serve` server, bench
-   loops) hold one open across requests and pass it as
-   ``sweep_map(..., pool=...)``, so pool startup is paid once, not per
-   sweep.
+   process pool, with worker-death detection, restart, retry and poison
+   quarantine.  :func:`sweep_map` opens one for the call when no pool is
+   passed and closes it before returning.  Long-lived callers (the
+   :mod:`repro.serve` server, bench loops) hold one open across requests
+   and pass it as ``sweep_map(..., pool=...)``, so pool startup is paid
+   once, not per sweep.
 
 The determinism contract, shared by every layer:
 
@@ -54,12 +54,11 @@ The determinism contract, shared by every layer:
   when several chunks fail — so error reports (the server's included)
   can say *which* grid point or seed died.
 * **No silent shortfall.**  Every submitted index must come back: a
-  pool that returns short (a dead worker's ``Pool.map`` can) raises
-  :class:`SweepShortfallError` naming the missing indices instead of
-  handing back a shortened, misaligned list.  Callers that need the
-  sweep to *survive* worker death rather than merely diagnose it pass
-  the :class:`repro.sim.supervise.SupervisedPool` via ``pool=`` — same
-  contract, plus restart/retry/quarantine.
+  pool that returns short raises :class:`SweepShortfallError` naming
+  the missing indices instead of handing back a shortened, misaligned
+  list.  The supervised pool survives worker death (restart, retry,
+  quarantine), so this never fires on a healthy run; it stays as an
+  independent check on lost work at the merge seam.
 
 Worker-count resolution (:func:`resolve_workers`): an explicit argument
 wins and is clamped to at least 1 (callers pass computed counts, e.g.
@@ -78,7 +77,6 @@ than failing mid-pool — the result is identical either way, only slower.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import warnings
@@ -316,9 +314,11 @@ def sweep_map(
             high enough that pool startup cannot exceed the work shipped.
         pool: an open :class:`repro.sim.supervise.SupervisedPool`
             (anything with ``workers`` / ``map(fn, items, chunksize)`` /
-            ``close``) to dispatch through instead of an ephemeral pool
-            (its worker count caps the plan).  The pool is left open for
-            the caller to reuse.
+            ``close``) to dispatch through; its worker count caps the
+            plan, and it is left open for the caller to reuse.  ``None``
+            opens a ``SupervisedPool`` of ``plan.workers`` for this call
+            and closes it before returning, killing its workers at once
+            if the map raises (Ctrl-C included).
     """
     items = list(items)
     eff_workers = (
@@ -352,14 +352,11 @@ def sweep_map(
     if pool is not None:
         wrapped = pool.map(guarded, indexed, plan.chunksize)
     else:
-        # Prefer fork where available (cheap, inherits the imported repo);
-        # elsewhere the default start method works, just with slower spawns.
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-        with ctx.Pool(processes=plan.workers) as mp_pool:
-            wrapped = mp_pool.map(guarded, indexed, chunksize=plan.chunksize)
+        # Imported here: supervise imports resolve_workers from us.
+        from .supervise import SupervisedPool
+
+        with SupervisedPool(plan.workers) as call_pool:
+            wrapped = call_pool.map(guarded, indexed, plan.chunksize)
     return _merge_guarded(wrapped, len(items))
 
 

@@ -392,7 +392,7 @@ class TestGracefulShutdown:
 
         async def run():
             server = await SimulationServer(
-                ServeConfig(use_pool=False, batch_window=0.01)
+                ServeConfig(workers=1, batch_window=0.01)
             ).start()
             req = SweepRequest.make("stream", points, args={"k": 4})
             job = await server.submit(req)
@@ -412,7 +412,7 @@ class TestGracefulShutdown:
             # A long coalescing window guarantees the batch is still
             # pending when the server abandons it.
             server = await SimulationServer(
-                ServeConfig(use_pool=False, batch_window=30.0)
+                ServeConfig(workers=1, batch_window=30.0)
             ).start()
             req = SweepRequest.make("stream", O_SWEEP[:4], args={"k": 4})
             job = await server.submit(req)
@@ -427,7 +427,7 @@ class TestGracefulShutdown:
 
         async def run():
             server = await SimulationServer(
-                ServeConfig(use_pool=False)
+                ServeConfig(workers=1)
             ).start()
             await server.close()
             with pytest.raises(ServerShutdown):
@@ -444,7 +444,7 @@ class TestGracefulShutdown:
 
         async def run():
             server = SimulationServer(
-                ServeConfig(use_pool=False, batch_window=30.0)
+                ServeConfig(workers=1, batch_window=30.0)
             )
             tcp = await start_tcp_server(server)
             host, port = tcp.sockets[0].getsockname()[:2]

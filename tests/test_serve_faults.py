@@ -81,7 +81,7 @@ class TestPersistenceRoundTrip:
     def test_results_survive_graceful_restart_bit_exactly(self, tmp_path):
         async def run():
             config = ServeConfig(
-                batch_window=0.0, use_pool=False, cache_dir=str(tmp_path)
+                batch_window=0.0, workers=1, cache_dir=str(tmp_path)
             )
             first = await _serve_once(config, [_request()])
             async with SimulationServer(config) as server:
@@ -98,7 +98,7 @@ class TestPersistenceRoundTrip:
     def test_graceful_close_compacts_into_a_snapshot(self, tmp_path):
         async def run():
             config = ServeConfig(
-                batch_window=0.0, use_pool=False, cache_dir=str(tmp_path)
+                batch_window=0.0, workers=1, cache_dir=str(tmp_path)
             )
             await _serve_once(config, [_request()])
 
@@ -113,7 +113,7 @@ class TestPersistenceRoundTrip:
         async def run():
             config = ServeConfig(
                 batch_window=0.0,
-                use_pool=False,
+                workers=1,
                 cache_dir=str(tmp_path),
                 snapshot_every=2,
             )
@@ -233,7 +233,7 @@ class TestCompaction:
         async def run():
             config = ServeConfig(
                 batch_window=0.0,
-                use_pool=False,
+                workers=1,
                 cache_dir=str(tmp_path),
                 cache_entries=C,
                 snapshot_every=F,
@@ -283,7 +283,7 @@ class TestCompaction:
         async def run():
             config = ServeConfig(
                 batch_window=0.0,
-                use_pool=False,
+                workers=1,
                 cache_dir=str(tmp_path),
                 snapshot_every=F,
             )
@@ -356,7 +356,7 @@ class TestPersistenceWriteFaults:
 
         async def run():
             config = ServeConfig(
-                batch_window=0.0, use_pool=False, cache_dir=str(tmp_path)
+                batch_window=0.0, workers=1, cache_dir=str(tmp_path)
             )
             async with _undrained(config) as server:
                 # Two records land whole, the third is cut mid-line.
@@ -397,7 +397,7 @@ class TestPersistenceWriteFaults:
         async def run():
             config = ServeConfig(
                 batch_window=0.0,
-                use_pool=False,
+                workers=1,
                 cache_dir=str(tmp_path),
                 snapshot_every=4,
             )
@@ -478,7 +478,7 @@ class TestKillNineReplay:
 class TestDeadlines:
     def test_deadline_fails_the_job_promptly(self):
         async def run():
-            config = ServeConfig(batch_window=0.0, use_pool=False)
+            config = ServeConfig(batch_window=0.0, workers=1)
             async with SimulationServer(config) as server:
                 job = await server.submit(_heavy_request(deadline=0.3))
                 t0 = time.monotonic()
@@ -495,7 +495,7 @@ class TestDeadlines:
     def test_default_deadline_applies_when_request_has_none(self):
         async def run():
             config = ServeConfig(
-                batch_window=0.0, use_pool=False, default_deadline=0.3
+                batch_window=0.0, workers=1, default_deadline=0.3
             )
             async with SimulationServer(config) as server:
                 job = await server.submit(_heavy_request())
@@ -507,7 +507,7 @@ class TestDeadlines:
 
     def test_fast_job_beats_its_deadline(self):
         async def run():
-            config = ServeConfig(batch_window=0.0, use_pool=False)
+            config = ServeConfig(batch_window=0.0, workers=1)
             request = SweepRequest.make(
                 "bcast_tree", POINTS, args={"k": 6}, deadline=60.0
             )
@@ -522,7 +522,7 @@ class TestAdmission:
     def test_overload_is_refused_atomically(self):
         async def run():
             config = ServeConfig(
-                batch_window=0.5, use_pool=False, max_pending_points=4
+                batch_window=0.5, workers=1, max_pending_points=4
             )
             async with SimulationServer(config) as server:
                 first = await server.submit(_request(points=POINTS[:3]))
@@ -555,7 +555,7 @@ class TestAdmission:
     def test_cache_hits_are_always_admitted(self):
         async def run():
             config = ServeConfig(
-                batch_window=0.0, use_pool=False, max_pending_points=4
+                batch_window=0.0, workers=1, max_pending_points=4
             )
             async with SimulationServer(config) as server:
                 job = await server.submit(_request())
@@ -571,7 +571,7 @@ class TestAdmission:
 class TestCancellation:
     def test_cancel_fails_only_the_cancelled_job(self):
         async def run():
-            config = ServeConfig(batch_window=0.0, use_pool=False)
+            config = ServeConfig(batch_window=0.0, workers=1)
             async with SimulationServer(config) as server:
                 job = await server.submit(_heavy_request())
                 assert server.cancel_job(job.id)
@@ -587,7 +587,7 @@ class TestCancellation:
 class TestHealth:
     def test_health_reports_ready_then_closed(self):
         async def run():
-            config = ServeConfig(batch_window=0.0, use_pool=False)
+            config = ServeConfig(batch_window=0.0, workers=1)
             server = SimulationServer(config)
             await server.start()
             open_health = server.stats_snapshot()["health"]
@@ -603,7 +603,7 @@ class TestHealth:
     def test_health_reports_overloaded_at_the_limit(self):
         async def run():
             config = ServeConfig(
-                batch_window=0.5, use_pool=False, max_pending_points=2
+                batch_window=0.5, workers=1, max_pending_points=2
             )
             async with SimulationServer(config) as server:
                 job = await server.submit(_request(points=POINTS[:2]))

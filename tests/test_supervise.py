@@ -2,7 +2,8 @@
 
 The contract under test, in increasing order of violence:
 
-* fault-free maps are bit-identical to the serial comprehension;
+* fault-free maps are bit-identical to the serial comprehension, and
+  the parent sleeps while its chunks wait for busy workers;
 * a SIGKILLed worker is detected, replaced, and its orphaned chunk
   resubmitted — the caller still gets the complete, ordered result;
 * an item that *reproducibly* kills its worker is quarantined after
@@ -13,7 +14,8 @@ The contract under test, in increasing order of violence:
   by the death budget (:class:`WorkerRestartStorm`);
 * ordinary exceptions are *not* retried — they propagate immediately,
   exactly as the serial loop would raise them;
-* ``close(drain=True)`` joins workers cleanly; ``drain=False`` kills.
+* ``close(drain=True)`` joins workers cleanly; ``drain=False`` kills,
+  and so does leaving a ``with`` block (or ``sweep_map``) on Ctrl-C.
 
 Timing assertions carry generous slack: CI runs this on one busy core.
 """
@@ -79,6 +81,27 @@ def _reciprocal(x: int) -> float:
     return 1.0 / x
 
 
+def _sleep_for(seconds: float, x: int) -> int:
+    time.sleep(seconds)
+    return x
+
+
+class _BrokenOnce:
+    """A worker pipe whose next send fails, as if the worker had died."""
+
+    def __init__(self, conn):
+        self._conn, self._armed = conn, True
+
+    def send(self, obj):
+        if self._armed:
+            self._armed = False
+            raise BrokenPipeError("worker died before dispatch")
+        return self._conn.send(obj)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
 def _fast_pool(workers: int, **kw) -> SupervisedPool:
     """A pool with test-friendly (short) backoff between retries."""
     from repro.sim.faults import ExponentialBackoffRetry
@@ -116,6 +139,17 @@ class TestFaultFree:
         finally:
             pool.close(drain=False)
 
+    def test_parent_blocks_while_chunks_queue(self):
+        # 8 chunks on 2 workers: most of the map has a ready chunk
+        # queued behind busy workers.  The parent must block on their
+        # pipes until one frees up, not poll them with a zero timeout.
+        with _fast_pool(2) as pool:
+            pool.map(_square, [1, 2])  # start the workers
+            cpu0, t0 = time.process_time(), time.monotonic()
+            assert pool.map(_slow, list(range(8))) == list(range(8))
+            cpu, wall = time.process_time() - cpu0, time.monotonic() - t0
+        assert cpu < wall / 4, f"parent used {cpu:.3f} s CPU in {wall:.3f} s"
+
 
 class TestWorkerDeath:
     def test_sigkilled_worker_is_replaced_and_chunk_resubmitted(
@@ -146,6 +180,60 @@ class TestWorkerDeath:
             )
             assert out == serial
             assert pool.deaths == 1
+
+    def test_worker_dead_at_send_is_replaced_without_stalling(self):
+        # The replacement for a worker found dead at dispatch must take
+        # the undelivered chunk at once.  Left idle until the other
+        # worker's chunk finishes (the 30 s tick never fires first),
+        # the two 1 s chunks would run one after the other.
+        with _fast_pool(2, tick=30.0) as pool:
+            pool.map(_square, [1, 2])  # start the workers
+            slot = pool._handles[1]
+            slot.conn = _BrokenOnce(slot.conn)
+            t0 = time.monotonic()
+            assert pool.map(partial(_sleep_for, 1.0), [0, 1]) == [0, 1]
+            wall = time.monotonic() - t0
+            assert pool.deaths == 1 and pool.restarts == 1
+        assert wall < 1.6, f"{wall:.2f} s: the replacement sat idle"
+
+    def test_sweep_map_without_a_pool_survives_a_sigkill(self, tmp_path):
+        # The pool sweep_map opens for one call is supervised too.  Run
+        # in a child interpreter under a timeout: an unsupervised pool
+        # hangs on a killed worker instead of failing.
+        import subprocess
+        import sys
+
+        import repro
+
+        flag = str(tmp_path / "died")
+        code = _CHILD_SWEEP.format(
+            src=os.path.dirname(os.path.dirname(repro.__file__)),
+            tests=os.path.dirname(os.path.abspath(__file__)),
+            flag=flag,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True"]
+        assert os.path.exists(flag)  # a worker really died
+
+
+#: The child side of the test above: no ``pool=`` passed.
+_CHILD_SWEEP = """\
+import sys
+from functools import partial
+
+sys.path[:0] = [{src!r}, {tests!r}]
+from test_supervise import _die_once
+from repro.sim.sweep import sweep_map
+
+out = sweep_map(partial(_die_once, {flag!r}), range(30), workers=2, chunksize=2)
+print(out == [x * x for x in range(30)])
+"""
 
 
 class TestPoisonQuarantine:
@@ -257,3 +345,22 @@ class TestTeardown:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    def test_interrupted_sweep_does_not_wait_for_inflight_chunks(self):
+        # Ctrl-C during a sweep_map that opened its own pool: the pool
+        # is killed, not drained, so nothing waits out the 30 s chunks.
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        t0 = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                sweep_map(
+                    partial(_sleep_for, 30.0), range(4), workers=2, chunksize=1
+                )
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - t0 < 4.0

@@ -76,6 +76,21 @@ def _fingerprint(seed: int) -> tuple:
     )
 
 
+@pytest.fixture
+def pool_maps(monkeypatch) -> list:
+    """Item counts of every ``SupervisedPool.map`` call in the test, so
+    a parity test can show its parallel side really fanned out."""
+    calls: list = []
+    original = SupervisedPool.map
+
+    def spy(self, fn, items, *args, **kwargs):
+        calls.append(len(items))
+        return original(self, fn, items, *args, **kwargs)
+
+    monkeypatch.setattr(SupervisedPool, "map", spy)
+    return calls
+
+
 class TestDeterminism:
     def test_parallel_sweep_bit_identical_to_serial(self):
         """The tentpole contract: 2- and 4-worker sweeps reproduce the
@@ -94,13 +109,16 @@ class TestDeterminism:
                 == serial
             )
 
-    def test_fuzz_sweep_parity(self):
+    def test_fuzz_sweep_parity(self, pool_maps):
         """fuzz_sweep folds parallel per-seed outcomes into the identical
         summary the serial loop builds."""
         from repro.sim.fuzz import fuzz_sweep
 
         serial = fuzz_sweep(range(50), ("fixed",), workers=1)
-        parallel = fuzz_sweep(range(50), ("fixed",), workers=2)
+        # min_chunk=1: 50 seeds are under the default share, which
+        # would run the parallel side serially too.
+        parallel = fuzz_sweep(range(50), ("fixed",), workers=2, min_chunk=1)
+        assert pool_maps == [50]
         assert serial.ok and parallel.ok
         assert (
             serial.cases,
@@ -218,15 +236,18 @@ class TestMaxFailuresEarlyExit:
         assert summary.cases == 3  # did not sweep the remaining 47 seeds
         assert all("crashed" in f for f in summary.failures)
 
-    def test_parallel_fold_matches_serial_accounting(self, broken_latency):
+    def test_parallel_fold_matches_serial_accounting(
+        self, broken_latency, pool_maps
+    ):
         if not self._is_fork():
             pytest.skip("patched LATENCIES needs fork to reach workers")
         from repro.sim.fuzz import fuzz_sweep
 
         serial = fuzz_sweep(range(30), ("broken",), max_failures=4, workers=1)
         parallel = fuzz_sweep(
-            range(30), ("broken",), max_failures=4, workers=2
+            range(30), ("broken",), max_failures=4, workers=2, min_chunk=1
         )
+        assert pool_maps == [30]
         assert (
             serial.cases,
             serial.runs,
@@ -322,14 +343,12 @@ class TestMinChunk:
     """
 
     def test_small_sweep_degrades_to_serial(self, monkeypatch):
-        import repro.sim.sweep as sweep_mod
+        import multiprocessing
 
         def boom(*a, **kw):  # any pool construction is a failure
             raise AssertionError("pool used for an under-min_chunk sweep")
 
-        monkeypatch.setattr(
-            sweep_mod.multiprocessing, "get_context", boom
-        )
+        monkeypatch.setattr(multiprocessing, "get_context", boom)
         out = sweep_map(_square, range(60), workers=2, min_chunk=48)
         assert out == [x * x for x in range(60)]
 
@@ -353,13 +372,14 @@ class TestMinChunk:
     def test_fuzz_sweep_small_default_is_serial(self, monkeypatch):
         """fuzz_sweep's MIN_SEEDS_PER_WORKER keeps bench-sized (60-seed)
         sweeps off the pool at any worker count."""
-        import repro.sim.sweep as sweep_mod
+        import multiprocessing
+
         from repro.sim.fuzz import fuzz_sweep
 
         def boom(*a, **kw):
             raise AssertionError("pool used for a bench-sized fuzz sweep")
 
-        monkeypatch.setattr(sweep_mod.multiprocessing, "get_context", boom)
+        monkeypatch.setattr(multiprocessing, "get_context", boom)
         summary = fuzz_sweep(range(60), ("fixed",), workers=2)
         assert summary.ok and summary.cases == 60
 
