@@ -33,9 +33,8 @@ fault semantics**, not protocol liveness:
 ``python -m repro.sim.chaos --seeds 500`` runs the sweep from the
 command line; the fuzzer's check 6 runs one chaos execution per
 deterministic-latency fuzz case, and the tier-1 suite pins a fixed seed
-block.  ``--service`` instead runs the *service-level* chaos harness
-(:mod:`repro.serve.chaos`): SIGKILLed pool workers, a server killed and
-restarted mid-job, journal tears, deadline and overload drills.
+block.  The service-level chaos drills live in :mod:`repro.serve.chaos`
+(``python -m repro.serve --chaos``).
 """
 
 from __future__ import annotations
@@ -451,25 +450,7 @@ def main(argv: list[str] | None = None) -> int:
         help="process count for the sweep (default: REPRO_SWEEP_WORKERS "
         "env var, then cpu count; 1 = serial)",
     )
-    parser.add_argument(
-        "--service",
-        action="store_true",
-        help="run the *service* chaos harness instead (SIGKILLed pool "
-        "workers, server kill -9 + journal replay, deadline/overload "
-        "drills — see repro.serve.chaos); equivalent to "
-        "`python -m repro.serve --chaos`",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="with --service: write the JSON report artifact",
-    )
     args = parser.parse_args(argv)
-    if args.service:
-        from ..serve.chaos import run_service_chaos
-
-        return run_service_chaos(args.out)
     summary = chaos_sweep(
         range(args.start, args.start + args.seeds), workers=args.workers
     )

@@ -29,8 +29,8 @@ and the deterministic per-hop :class:`~repro.sim.net.TopologyFabric`
 all lower exactly.  Contention and lossy fabrics resolve delivery from
 runtime load, which a static schedule cannot represent —
 :func:`backend_ineligibility` explains refusals, and the ``auto``
-backend in :mod:`repro.sim.sweep` / :mod:`repro.bench` raises rather
-than silently falling back.  Programs observing ``Now`` lower per
+backend in :mod:`repro.sim.sweep` raises rather than silently falling
+back.  Programs observing ``Now`` lower per
 parameter point via :func:`compile_at` (fixed-point clock assumption)
 and per grid region via :func:`evaluate_forked` (branch-splitting on
 the recorded ``OP_NOW`` constraints).

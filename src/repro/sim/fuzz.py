@@ -489,21 +489,8 @@ def _run_machine(
     return machine.run(case.factory)
 
 
-def run_case(
-    case: FuzzCase,
-    latency_name: str = "fixed",
-    *,
-    compiled_check: bool = True,
-    chaos_check: bool = True,
-) -> CaseOutcome:
-    """Execute one case under one latency model and run every check.
-
-    ``compiled_check=False`` skips differential check 5 (the compiled
-    evaluator) and ``chaos_check=False`` skips the fault-injection
-    check 6; used by ``repro.bench`` to keep the ``fuzz_smoke``
-    workload's cost comparable across benchmark records predating
-    those checks.  Correctness sweeps leave both on.
-    """
+def run_case(case: FuzzCase, latency_name: str = "fixed") -> CaseOutcome:
+    """Execute one case under one latency model and run every check."""
     where = f"seed={case.seed} family={case.family} {case.params} [{latency_name}]"
     make_latency = LATENCIES[latency_name]
     fixed = latency_name == "fixed"
@@ -611,25 +598,24 @@ def run_case(
     # be *bit-identical* to the machine — under the fixed model and the
     # seeded draw models alike (the evaluator consumes the same reset
     # draw stream at the same injections).
-    if compiled_check:
-        out.failures.extend(
-            _check_compiled(
-                case,
-                res,
-                where,
-                make_latency=(
-                    (lambda: None)
-                    if fixed
-                    else partial(make_latency, case.params.L, case.seed)
-                ),
-            )
+    out.failures.extend(
+        _check_compiled(
+            case,
+            res,
+            where,
+            make_latency=(
+                (lambda: None)
+                if fixed
+                else partial(make_latency, case.params.L, case.seed)
+            ),
         )
+    )
 
     # 6. Chaos: the same case under a seeded processor fault plan (and,
     # on a third of the seeds, a lossy fabric) must terminate, deliver
     # exactly-once, and keep its fault report consistent with the plan
     # and the traced event feed.  Lazy import: chaos imports this module.
-    if fixed and chaos_check:
+    if fixed:
         from .chaos import check_case_under_faults
 
         out.failures.extend(check_case_under_faults(case, where))
@@ -834,22 +820,14 @@ def _check_compiled(
 
 
 def _sweep_seed(
-    seed: int,
-    latencies: tuple[str, ...],
-    compiled_check: bool = True,
-    chaos_check: bool = True,
+    seed: int, latencies: tuple[str, ...]
 ) -> tuple[str, list[CaseOutcome]]:
     """Per-seed work unit for the parallel sweep: regenerate the case
     (program factories are generators and cannot cross a process
     boundary — only the seed does) and run it under every latency
     model.  Module-level so it pickles."""
     case = make_case(int(seed))
-    return case.family, [
-        run_case(
-            case, name, compiled_check=compiled_check, chaos_check=chaos_check
-        )
-        for name in latencies
-    ]
+    return case.family, [run_case(case, name) for name in latencies]
 
 
 # ----------------------------------------------------------------------
@@ -1126,8 +1104,6 @@ def fuzz_sweep(
     max_failures: int = 50,
     workers: int | None = None,
     min_chunk: int = MIN_SEEDS_PER_WORKER,
-    compiled_check: bool = True,
-    chaos_check: bool = True,
 ) -> FuzzSummary:
     """Run a seeded sweep; every (seed, latency model) pair is one run.
 
@@ -1139,9 +1115,7 @@ def fuzz_sweep(
     the ``max_failures`` early exit — a parallel sweep may merely
     compute results past the cut that the fold then discards.
     ``min_chunk`` (seeds per worker; see :func:`sweep_map`) keeps small
-    sweeps serial where a pool could only add overhead;
-    ``compiled_check`` and ``chaos_check`` are forwarded to
-    :func:`run_case`.
+    sweeps serial where a pool could only add overhead.
     """
     summary = FuzzSummary(cases=0, runs=0, total_messages=0)
     seed_list = [int(s) for s in seeds]
@@ -1166,14 +1140,7 @@ def fuzz_sweep(
             outcomes = []
             stop = False
             for name in latencies:
-                outcomes.append(
-                    run_case(
-                        case,
-                        name,
-                        compiled_check=compiled_check,
-                        chaos_check=chaos_check,
-                    )
-                )
+                outcomes.append(run_case(case, name))
                 if len(summary.failures) + sum(
                     len(o.failures) for o in outcomes
                 ) >= max_failures:
@@ -1184,12 +1151,7 @@ def fuzz_sweep(
         return summary
 
     per_seed = sweep_map(
-        partial(
-            _sweep_seed,
-            latencies=latencies,
-            compiled_check=compiled_check,
-            chaos_check=chaos_check,
-        ),
+        partial(_sweep_seed, latencies=latencies),
         seed_list,
         workers=workers,
         min_chunk=min_chunk,

@@ -1,0 +1,54 @@
+"""``python -m repro.bench``: the commands CI runs, and the degraded
+serving workload."""
+
+from __future__ import annotations
+
+import pathlib
+import re
+import shlex
+
+from repro import bench
+
+CI = pathlib.Path(__file__).parent.parent / ".github" / "workflows" / "ci.yml"
+
+
+def _ci_bench_commands() -> list[list[str]]:
+    return [
+        shlex.split(args)
+        for args in re.findall(r"python -m repro\.bench\b(.*)", CI.read_text())
+    ]
+
+
+def test_ci_commands_parse(monkeypatch, tmp_path):
+    # A flag CI passes but the parser no longer knows fails here, not in
+    # a CI job; run_all is stubbed, so no workload runs.
+    commands = _ci_bench_commands()
+    assert len(commands) >= 4
+    monkeypatch.chdir(tmp_path)
+    calls = []
+
+    def fake_run_all(**kwargs):
+        calls.append(kwargs)
+        t = {"n": kwargs["reps"], "min": 0.1, "median": 0.2, "max": 0.3}
+        return {"date": "2026-01-01", "timings_s": {"stream_s": t}}
+
+    monkeypatch.setattr(bench, "run_all", fake_run_all)
+    for argv in commands:
+        assert bench.main(argv) == 0, argv
+        out = argv[argv.index("--out") + 1]
+        assert (tmp_path / out).exists(), argv
+    assert len(calls) == len(commands)
+
+
+def test_serve_degraded_smoke():
+    # The workload raises on any result that differs from the serial
+    # grid_map, so a report means parity held under the kills.
+    report = bench.run_all(smoke=True, reps=1, only="serve_degraded")
+    t = report["timings_s"]["serve_degraded_s"]
+    assert t["n"] == 1
+    requests = report["workloads"]["serve_degraded"]["requests"]
+    [deaths] = report["serve_degraded_worker_deaths"]
+    assert 1 <= deaths <= requests
+    assert report["serve_degraded_requests_per_s"] == round(
+        requests / t["median"], 1
+    )

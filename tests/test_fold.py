@@ -586,23 +586,20 @@ class TestBenchFoldedWorkloads:
     def test_folded_vs_unfolded_report_keys(self):
         from repro.bench import run_all
 
-        report = run_all(smoke=True, reps=1, only="folded_vs_unfolded")
+        reps = 3
+        report = run_all(smoke=True, reps=reps, only="folded_vs_unfolded")
         t = report["timings_s"]
-        assert "folded_vs_unfolded_folded_s" in t
-        assert "folded_vs_unfolded_unfolded_s" in t
+        assert set(t) == {
+            "folded_vs_unfolded_folded_s",
+            "folded_vs_unfolded_unfolded_s",
+        }
+        for entry in t.values():
+            assert entry["n"] == reps
+            assert entry["min"] <= entry["median"] <= entry["max"]
+        folded = t["folded_vs_unfolded_folded_s"]["median"]
+        unfolded = t["folded_vs_unfolded_unfolded_s"]["median"]
+        assert report["folded_vs_unfolded_speedup"] == round(
+            unfolded / folded, 2
+        )
         assert report["folded_vs_unfolded_speedup"] > 1.0
         assert report["max_rss_kb"] > 0
-
-    def test_peak_rss_regression_gate(self):
-        from repro.bench import compare_reports
-
-        report = {"timings_s": {}, "max_rss_kb": 1000}
-        ratios, regressions = compare_reports(
-            report, {"timings_s": {}, "max_rss_kb": 700}
-        )
-        assert ratios["max_rss_kb"] == pytest.approx(1.429, abs=1e-3)
-        assert regressions == ["max_rss_kb"]
-        ratios, regressions = compare_reports(
-            report, {"timings_s": {}, "max_rss_kb": 900}
-        )
-        assert regressions == []
