@@ -55,6 +55,14 @@ pytest-benchmark suite:
   evaluated per rank versus the class-compact constructor folded and
   evaluated per class, bit-identity verified first, with the headline
   ``folded_vs_unfolded_speedup`` recorded (target >= 50x);
+* ``tape_cost`` — what a tape costs, counted in scalar evaluations:
+  for five grid shapes (``stream`` at P = 6, a ``bcast_tree`` o-sweep,
+  a jittered seed grid, and folded broadcasts at P = 64 and 2,048) it
+  times one recording, one replay over the rest of the grid and one
+  scalar evaluation, and reports ``(record + replay) / scalar`` per
+  shape from medians in ``tape_cost_ratios``.  The yield rule of
+  :func:`~repro.sim.compiled.grid._cover` takes its constants from
+  these ratios;
 * ``serve_degraded`` — serving throughput *under fire*: machine-backend
   sweeps sharded across a :class:`~repro.sim.supervise.SupervisedPool`,
   one pool worker SIGKILLed a fixed delay into each request (every
@@ -601,6 +609,82 @@ def _folded_broadcast_pipeline(P: int, pts: list[LogPParams]) -> list:
     ]
 
 
+def _tape_cost_shapes() -> list:
+    """The grid shapes ``tape_cost`` prices: ``(name, ops, columns)``.
+
+    ``ops`` are the record, replay-input and fallback operations
+    :func:`~repro.sim.compiled.grid._cover` runs for that shape; the shapes are the yield rule's test cases plus the
+    P = 2,048 fold of perfbench's ``grid_sweep``.
+    """
+    from .algorithms.broadcast import binomial_tree, pipelined_broadcast_program
+    from .serve.registry import build
+    from .sim.compiled import compile_programs, fold_program
+    from .sim.compiled.fold import _folded_grid_ops
+    from .sim.compiled.grid import _grid_ops, _seed_grid_ops
+    from .sim.latency import JitteredLatency
+
+    core = dict(
+        enforce_capacity=True, hw_barrier_cost=0.0, compute_jitter=None,
+        max_events=50_000_000,
+    )
+    stream = build("stream", {"k": 16}, None)
+    bcast = build("bcast_tree", {"k": 8}, None)
+    shapes = []
+    pts = [
+        LogPParams(L=1.0 + (i % 10) * 1.37, o=0.5 + (i // 10 % 5) * 0.61,
+                   g=0.5, P=6)
+        for i in range(50)
+    ]
+    ops = _grid_ops(compile_programs(stream, 6), pts, None, None, None, 32, core)
+    shapes.append(("stream_p6", ops, range(len(pts))))
+    pts = [LogPParams(L=6.0, o=0.25 + 7.75 * i / 127, g=4.0, P=8)
+           for i in range(128)]
+    ops = _grid_ops(compile_programs(bcast, 8), pts, None, None, None, 32, core)
+    shapes.append(("bcast_osweep_p8", ops, range(len(pts))))
+    pts = [LogPParams(L=6.0, o=1.0 + 0.75 * i, g=4.0, P=8) for i in range(4)]
+    ops, (drawn, _fixed) = _seed_grid_ops(
+        compile_programs(bcast, 8), pts, list(range(10)),
+        lambda p, s: JitteredLatency(6.0, scale_frac=0.25, seed=s),
+        None, 32, core,
+    )
+    shapes.append(("jitter_seeds_p8", ops, drawn))
+    for P in (64, 2048):
+        folded = fold_program(compile_programs(
+            pipelined_broadcast_program(binomial_tree(P), [0]), P
+        ))
+        pts = [LogPParams(L=4.0 + i, o=2.0, g=4.0, P=P) for i in range(16)]
+        ops = _folded_grid_ops(
+            folded, pts, None, None, True, None, 0.0, None, 32
+        )
+        shapes.append((f"fold_p{P}", ops, range(len(pts))))
+    return shapes
+
+
+def _tape_cost(reps: int, timings: dict) -> dict:
+    """Time one recording, one replay over the rest of the grid and one
+    scalar evaluation per shape; return ``(record + replay) / scalar``
+    per shape, from medians.  The timings land in ``timings``."""
+    from .sim.compiled.grid import _replay
+
+    ratios = {}
+    for name, ops, cols in _tape_cost_shapes():
+        ref, rest = cols[0], list(cols[1:])
+        rec, _ = ops.record(ref)
+        inputs = ops.replay_inputs(rec, rest)
+        stem = f"tape_cost_{name}"
+        timings[f"{stem}_record_s"] = _timed(lambda: ops.record(ref), reps)
+        timings[f"{stem}_replay_s"] = _timed(
+            lambda: _replay(rec.tape, *inputs), reps
+        )
+        timings[f"{stem}_scalar_s"] = _timed(lambda: ops.fallback(ref), reps)
+        cost = (
+            timings[f"{stem}_record_s"]["median"]
+            + timings[f"{stem}_replay_s"]["median"]
+        )
+        ratios[name] = round(cost / timings[f"{stem}_scalar_s"]["median"], 2)
+    return ratios
+
+
 # ----------------------------------------------------------------------
 
 
@@ -731,6 +815,9 @@ def run_all(
         timings["folded_vs_unfolded_unfolded_s"] = _timed(
             lambda: _unfolded_broadcast_pipeline(fvu_P, fvu_pts), reps
         )
+    tape_cost: dict | None = None
+    if want("tape_cost"):
+        tape_cost = _tape_cost(reps, timings)
     degraded_deaths: list[int] = []
     if want("serve_degraded"):
         dg_requests, dg_expected = _serve_degraded_requests(
@@ -821,6 +908,8 @@ def run_all(
             degraded_reqs / timings["serve_degraded_s"]["median"], 1
         )
         report["serve_degraded_worker_deaths"] = degraded_deaths
+    if tape_cost is not None:
+        report["tape_cost_ratios"] = tape_cost
     if fault_reports:
         report["fault_reports"] = fault_reports
     for stem, (ref, fast) in _SPEEDUPS.items():
@@ -875,6 +964,11 @@ def main(argv: list[str] | None = None) -> int:
                 f"{stem + ' speedup':32s} {report[stem + '_speedup']:9.2f} x "
                 "(ratio of medians)"
             )
+    for shape, ratio in report.get("tape_cost_ratios", {}).items():
+        print(
+            f"{'tape_cost ' + shape:32s} {ratio:9.2f} x "
+            "((record + replay) / scalar, medians)"
+        )
     if "max_rss_kb" in report:
         print(f"{'peak RSS':32s} {report['max_rss_kb'] / 1024:9.1f} MB")
 

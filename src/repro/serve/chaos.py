@@ -190,8 +190,15 @@ def _spawn_server(
                 return proc, m.group(1).decode(), int(m.group(2))
         if proc.poll() is not None:
             break
-    proc.kill()
+    _stop_server(proc)
     raise RuntimeError(f"server subprocess never reported a port: {buf!r}")
+
+
+def _stop_server(proc: subprocess.Popen) -> None:
+    """SIGKILL a :func:`_spawn_server` process, reap it, close its pipe."""
+    proc.kill()
+    proc.wait(timeout=30)
+    proc.stdout.close()
 
 
 def _rpc(coro_factory):
@@ -240,14 +247,21 @@ def _fire_and_forget(host, port, payload) -> None:
 
     async def go():
         reader, writer = await asyncio.open_connection(host, port)
-        writer.write((json.dumps(payload) + "\n").encode())
-        await writer.drain()
-        while True:
-            frame = json.loads(await asyncio.wait_for(reader.readline(), 30))
-            if frame.get("op") == "accepted":
-                return
-            if frame.get("op") == "error":
-                raise RuntimeError(frame.get("error"))
+        try:
+            writer.write((json.dumps(payload) + "\n").encode())
+            await writer.drain()
+            while True:
+                frame = json.loads(await asyncio.wait_for(reader.readline(), 30))
+                if frame.get("op") == "accepted":
+                    return
+                if frame.get("op") == "error":
+                    raise RuntimeError(frame.get("error"))
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError):
+                pass
 
     _rpc(go)
 
@@ -324,8 +338,7 @@ def _server_kill_drills(check, tmpdir: str) -> None:
         )
         time.sleep(0.4)
     finally:
-        proc.kill()
-        proc.wait(timeout=30)
+        _stop_server(proc)
     lines = journal.read_bytes().splitlines(keepends=True)
     complete = sum(1 for ln in lines if ln.endswith(b"\n"))
     check(
@@ -352,8 +365,7 @@ def _server_kill_drills(check, tmpdir: str) -> None:
             host, port, requests, want,
         )
     finally:
-        proc.kill()  # SIGKILL again: the journal must stay untouched
-        proc.wait(timeout=30)
+        _stop_server(proc)  # SIGKILL again: the journal must stay untouched
 
     # --- Drill 3: tear the journal tail mid-record, then recover.
     data = journal.read_bytes()
@@ -383,8 +395,7 @@ def _server_kill_drills(check, tmpdir: str) -> None:
             "all bit-identical",
         )
     finally:
-        proc.kill()
-        proc.wait(timeout=30)
+        _stop_server(proc)
 
 
 def _compacted_kill_drill(check, tmpdir: str) -> None:
@@ -405,8 +416,7 @@ def _compacted_kill_drill(check, tmpdir: str) -> None:
         ]
         persist = _stats_once(host, port).get("persistence") or {}
     finally:
-        proc.kill()
-        proc.wait(timeout=30)
+        _stop_server(proc)
     parity = all(first[i] == want[i] for i in want)
     records = (cache_dir / CachePersistence.JOURNAL).read_bytes().count(b"\n")
     check(
@@ -434,8 +444,7 @@ def _compacted_kill_drill(check, tmpdir: str) -> None:
             host, port, requests, want,
         )
     finally:
-        proc.kill()
-        proc.wait(timeout=30)
+        _stop_server(proc)
 
 
 # ----------------------------------------------------------------------

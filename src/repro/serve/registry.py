@@ -6,9 +6,11 @@ factory the machine and the compiled backend both consume.  Names exist
 so that (a) requests are serializable — a wire client cannot ship a
 Python generator function — and (b) results are cacheable: the cache
 key's *program fingerprint* (:func:`fingerprint`) hashes the family
-name, its canonicalized arguments, and the family builder's source
-code (the seed is a separate cache-key field), so a cached entry can
-never be served across a code change that would alter results.
+name, its canonicalized arguments, and a digest of the code that
+computes the result (:func:`_code_digest`: every ``.py`` file of the
+``repro`` package), so a cached entry is never served across a code
+change that could alter results.  The seed is a separate cache-key
+field.
 
 Families are module-level callables built from picklable program
 objects, so the server's process-pool shards can rebuild them by name
@@ -28,9 +30,11 @@ a serial loop.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
+from pathlib import Path
 from typing import Callable
 
 __all__ = [
@@ -43,6 +47,10 @@ __all__ = [
 
 #: name -> builder ``(args: dict, seed: int | None) -> programs``.
 _REGISTRY: dict[str, Callable] = {}
+
+#: The ``repro`` package directory: :func:`_code_digest` hashes every
+#: ``.py`` file under it.
+_PACKAGE_ROOT = Path(__file__).resolve().parents[1]
 
 
 def register(name: str):
@@ -93,27 +101,49 @@ def build(name: str, args: dict | None, seed: int | None):
     return get_family(name)(dict(args or {}), seed)
 
 
+@functools.cache
+def _code_digest() -> str:
+    """SHA-256 of every ``.py`` file of the ``repro`` package.
+
+    The set is the whole package, not the modules a served result
+    imports: the registered families, their program objects, the
+    machine, the compiled evaluator, and whatever they call.
+    Nothing is left out, because leaving a subtree out would need a
+    proof that no served result executes it.  Files are hashed in
+    sorted order of their package-relative paths, so the digest does
+    not depend on import order or on where the package is installed.
+    Computed once per process.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(_PACKAGE_ROOT.rglob("*.py")):
+        digest.update(path.relative_to(_PACKAGE_ROOT).as_posix().encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
 def fingerprint(name: str, args: dict | None) -> str:
-    """The cache key's program component: name + args + builder source.
+    """The cache key's program component: name + args + code digest.
 
     The seed and backend are *separate* cache-key fields
     (:class:`repro.serve.cache.CacheKey`), *not* folded in here — the
-    fingerprint identifies the program family text.  Hashing the
-    builder's source means a code change that could alter simulated
-    results also changes every affected cache key — stale entries
-    become unreachable instead of silently wrong.
+    fingerprint identifies the family and the code that computes it.
+    Folding in :func:`_code_digest` means any edit to the package —
+    a family's program, the machine, the compiled evaluator — changes
+    every cache key: a persisted cache replayed by changed code drops
+    its entries as stale instead of serving old bits.  Memoized per
+    (family, canonical args), the last 4,096 of them, since clients
+    choose the args; unknown families refuse loudly.
     """
-    builder = get_family(name)
-    try:
-        src = inspect.getsource(builder)
-    except (OSError, TypeError):  # builtins / REPL registration
-        src = repr(builder)
+    return _fingerprint(name, canonical_args(args))
+
+
+@functools.lru_cache(maxsize=4096)
+def _fingerprint(name: str, args: tuple) -> str:
+    get_family(name)
     payload = json.dumps(
-        {
-            "family": name,
-            "args": canonical_args(args),
-            "source": hashlib.sha256(src.encode()).hexdigest(),
-        },
+        {"family": name, "args": args, "code": _code_digest()},
         sort_keys=True,
         default=str,
     )

@@ -132,6 +132,7 @@ from .grid import (
     _I_CONST,
     GridResult,
     _cover,
+    _CoverOps,
     _raw_points,
     _TapeArith,
 )
@@ -981,7 +982,10 @@ def evaluate_folded_grid(
     Θ(C) tape per control-flow region, replay it vectorized over the
     remaining points, scalar-fold stragglers.  Values are exactly the
     unfolded compiled path's (and the machine's) under the
-    dyadic-exactness guard.
+    dyadic-exactness guard.  ``max_tapes`` is an upper bound on the
+    recordings: the yield rule of :func:`.grid._cover` may stop
+    earlier, and ``GridResult.stop_reason`` says which stop
+    applied.
 
     Points that cannot be folded at their own parameters — a capacity
     stall at a recording reference — are returned *unfilled* in
@@ -993,6 +997,35 @@ def evaluate_folded_grid(
     pts = list(grid)
     if not pts:
         return GridResult([], [], 0, 0, folded=True, classes=folded.n_classes)
+    ops = _folded_grid_ops(
+        folded, pts, latency, fabric, enforce_capacity, capacity,
+        hw_barrier_cost, compute_jitter, max_tapes,
+    )
+    n = len(pts)
+    makespans = [0.0] * n
+    stalls = [0.0] * n
+    tapes, fallbacks, divergent, stop = _cover(
+        range(n), makespans, stalls, max_tapes, ops
+    )
+    divergent.sort()
+    return GridResult(
+        makespans,
+        stalls,
+        tapes,
+        fallbacks,
+        divergent,
+        folded=True,
+        classes=folded.n_classes,
+        stop_reason=stop,
+    )
+
+
+def _folded_grid_ops(
+    folded: FoldedProgram, pts: list, latency, fabric, enforce_capacity,
+    capacity, hw_barrier_cost, compute_jitter, max_tapes: int,
+) -> _CoverOps:
+    """Validate :func:`evaluate_folded_grid`'s arguments and return its
+    :class:`.grid._CoverOps`: column ``i`` is ``pts[i]``."""
     if hw_barrier_cost < 0:
         raise ValueError(
             f"hw_barrier_cost must be >= 0, got {hw_barrier_cost}"
@@ -1034,20 +1067,4 @@ def evaluate_folded_grid(
         )
         return res.makespan, res.total_stall_time
 
-    n = len(pts)
-    makespans = [0.0] * n
-    stalls = [0.0] * n
-    tapes, fallbacks, divergent = _cover(
-        range(n), makespans, stalls, max_tapes=max_tapes, record=record,
-        replay_inputs=replay_inputs, fallback=fallback, diverged=FoldError,
-    )
-    divergent.sort()
-    return GridResult(
-        makespans,
-        stalls,
-        tapes,
-        fallbacks,
-        divergent,
-        folded=True,
-        classes=folded.n_classes,
-    )
+    return _CoverOps(record, replay_inputs, fallback, FoldError)

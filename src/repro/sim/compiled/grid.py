@@ -43,13 +43,25 @@ module exploits that:
    recorded handler sequence up to commuting interleavings, so its
    replayed makespan and stall totals are *exactly* what the float
    domain — and therefore the machine — would produce there.
-3. **Re-reference.**  Points that violate a constraint lie in a
-   different control-flow region: the first such point becomes the
-   next recording reference, up to ``max_tapes`` regions; stragglers
-   fall back to the float domain.  The fallback changes cost only,
-   never results.  One driver, :func:`_cover`, runs this loop for
+3. **Re-reference, while tapes pay.**  Points that violate a
+   constraint lie in a different control-flow region: the first such
+   point becomes the next recording reference.  Recording stops at the
+   ``max_tapes`` budget, or earlier by the *yield rule*: once the last
+   ``_YIELD_WINDOW`` tapes together covered fewer than
+   ``_YIELD_WINDOW * _BREAK_EVEN`` points, a further tape is not
+   expected to pay for its recording, so every uncovered point falls
+   back to the float domain.  Both constants are counts derived from
+   the ``tape_cost`` entry of :mod:`repro.bench`, which prices a
+   recording plus a replay in scalar evaluations per shape: the
+   break-even is the smallest price, the window the largest price over
+   it (see their comment).  No clock is read, so tape and fallback
+   counts repeat exactly.  The worst case is a few low-yield
+   references ahead of a large region in submission order: the whole
+   region then runs scalar.  The fallback changes cost only, never
+   results.  One function, :func:`_cover`, runs this loop for
    every tape family: the grid, both column groups of the seed grid,
-   and the folded grid (:mod:`.fold`).
+   and the folded grid (:mod:`.fold`); each result names why its
+   recording stopped (``stop_reason``).
 
 Beyond the fixed-``L`` default, the tape lowers the machine's other
 deterministic timing configurations:
@@ -504,6 +516,10 @@ class GridResult:
     #: capacity stall) — the caller evaluates them unfolded.
     folded: bool = False
     classes: int = 0
+    #: Why recording stopped: ``"covered"`` (no point left to record),
+    #: ``"max_tapes"`` (the budget), or ``"yield: N columns over the
+    #: last W tapes"`` (the yield rule, see :func:`_cover`).
+    stop_reason: str = "covered"
 
 
 @dataclass(slots=True)
@@ -525,6 +541,9 @@ class SeedGridResult:
     #: (seeded draws are not foldable today, so always the defaults).
     folded: bool = False
     classes: int = 0
+    #: Why recording stopped (see :class:`GridResult`); of the two
+    #: column groups, the first that stopped early.
+    stop_reason: str = "covered"
 
 
 def _term_values(term: int, k, arrs):
@@ -624,43 +643,100 @@ def _replay(tape: _Tape, arrs, caps):
     return ok, mk, st
 
 
+#: The yield rule of :func:`_cover`: recording stops once the last
+#: ``_YIELD_WINDOW`` tapes together covered fewer than
+#: ``_YIELD_WINDOW * _BREAK_EVEN`` columns.  A tape covering ``y``
+#: columns saves ``y`` scalar evaluations and costs one recording plus
+#: one replay over the rest of the grid, so it pays when ``y`` exceeds
+#: that cost counted in scalar evaluations.  ``python -m repro.bench
+#: --only tape_cost`` measures this ratio per shape; three runs of 15
+#: reps on a 2-vCPU host gave 5.2-6.1 (folded broadcast, P = 64),
+#: 6.6-7.2 (folded, P = 2,048), 8.1-8.6 (jittered seed grid), 8.4-9.8
+#: (``stream``, P = 6) and 11.0-12.4 (``bcast_tree`` o-sweep, P = 8).
+#: ``_BREAK_EVEN`` is the smallest ratio rounded down, 5: a window
+#: averaging fewer columns a tape lost at every measured shape.
+#: ``_YIELD_WINDOW`` is the largest ratio over ``_BREAK_EVEN``,
+#: rounded up: ceil(12.4 / 5) = 3, so recording goes on only while the
+#: window covered more columns (15) than one recording costs at any
+#: measured shape.  Counts, not times: the same grid always records the
+#: same tapes.  ``_BREAK_EVEN = 0`` switches the rule off.
+_YIELD_WINDOW = 3
+_BREAK_EVEN = 5
+
+
+@dataclass(frozen=True, slots=True)
+class _CoverOps:
+    """One tape family's operations, as :func:`_cover` drives them.
+
+    ``record(col)`` returns ``(recorder, (makespan, stall))``;
+    ``replay_inputs(recorder, cols)`` returns the :func:`_replay`
+    arrays and capacities of ``cols``; ``fallback(col)`` returns the
+    exact scalar ``(makespan, stall)``.  A column whose recording or
+    fallback raises ``diverged`` is left unfilled.
+    """
+
+    record: Callable
+    replay_inputs: Callable
+    fallback: Callable
+    diverged: type
+
+
 def _cover(
-    columns,
-    makespans: list,
-    stalls: list,
-    *,
-    max_tapes: int,
-    record: Callable,
-    replay_inputs: Callable,
-    fallback: Callable,
-    diverged: type,
-) -> tuple[int, int, list]:
+    columns, makespans: list, stalls: list, max_tapes: int, ops: _CoverOps
+) -> tuple[int, int, list, str]:
     """Fill ``columns`` by record → replay → keep uncovered → fallback.
 
-    The first uncovered column is the recording reference:
-    ``record(col)`` returns ``(recorder, (makespan, stall))`` and its
-    tape is replayed over the rest, ``replay_inputs(recorder, rest)``
-    supplying the :func:`_replay` arrays and capacities.  Columns
-    violating a constraint stay uncovered for the next reference, up to
-    ``max_tapes`` recordings; stragglers get the exact
-    ``fallback(col) -> (makespan, stall)``.  A column whose recording or
-    fallback raises ``diverged`` is left unfilled.  Returns
-    ``(tapes, fallbacks, divergent)``.
+    The first uncovered column is the recording reference; its tape is
+    replayed over the rest, and columns violating a constraint stay
+    uncovered for the next reference.  Before each further recording
+    it checks two stops, in order: the ``max_tapes`` budget,
+    then the yield rule — if the last ``_YIELD_WINDOW`` tapes together
+    covered fewer than ``_YIELD_WINDOW * _BREAK_EVEN`` columns (their
+    references included), recording stops.  Either way the uncovered
+    columns get the exact ``ops.fallback``, so the rule moves cost,
+    never values, and it counts columns, never time, so the same grid
+    always records the same tapes.  With ``_BREAK_EVEN`` = 5, the
+    smallest measured (record + replay) / scalar ratio rounded down,
+    and ``_YIELD_WINDOW`` = 3, the largest ratio over it rounded up,
+    recording goes on only while the window covered more columns than
+    one recording costs at any shape ``repro.bench``'s ``tape_cost``
+    measures (the comment above the constants gives the numbers).
+
+    Worst case: ``_YIELD_WINDOW`` low-yield references that come
+    before a large region in submission order stop recording, and the
+    whole region runs scalar — about the column count in scalar
+    evaluations where one tape would have done.
+
+    Returns ``(tapes, fallbacks, divergent, stop_reason)``, where
+    ``stop_reason`` is ``"covered"``, ``"max_tapes"`` or ``"yield: N
+    columns over the last W tapes"``.
     """
     remaining = list(columns)
-    tapes = 0
+    yields: list[int] = []  # columns each tape covered, reference included
     divergent: list = []
-    while remaining and tapes < max_tapes:
+    stop = "covered"
+    while remaining:
+        if len(yields) >= max_tapes:
+            stop = "max_tapes"
+            break
+        if len(yields) >= _YIELD_WINDOW:
+            got = sum(yields[-_YIELD_WINDOW:])
+            if got < _YIELD_WINDOW * _BREAK_EVEN:
+                stop = (
+                    f"yield: {got} columns over the last "
+                    f"{_YIELD_WINDOW} tapes"
+                )
+                break
         ref = remaining.pop(0)
         try:
-            rec, (makespans[ref], stalls[ref]) = record(ref)
-        except diverged:
+            rec, (makespans[ref], stalls[ref]) = ops.record(ref)
+        except ops.diverged:
             divergent.append(ref)
             continue
-        tapes += 1
         if not remaining:
+            yields.append(1)
             break
-        arrs, caps = replay_inputs(rec, remaining)
+        arrs, caps = ops.replay_inputs(rec, remaining)
         ok, mk, st = _replay(rec.tape, arrs, caps)
         rest = remaining
         remaining = []
@@ -670,15 +746,16 @@ def _cover(
                 stalls[c] = s
             else:
                 remaining.append(c)
+        yields.append(1 + len(rest) - len(remaining))
     fallbacks = 0
     for c in remaining:
         try:
-            makespans[c], stalls[c] = fallback(c)
-        except diverged:
+            makespans[c], stalls[c] = ops.fallback(c)
+        except ops.diverged:
             divergent.append(c)
             continue
         fallbacks += 1
-    return tapes, fallbacks, divergent
+    return len(yields), fallbacks, divergent, stop
 
 
 def _recordable(timing: tuple) -> tuple:
@@ -757,8 +834,11 @@ def evaluate_grid(
     Each point's makespan and total stall time are exactly what
     :func:`.evaluator.evaluate` (and therefore the machine) produces
     there — vectorization changes cost, never values.  Points are
-    covered by up to ``max_tapes`` recorded control-flow regions;
-    uncovered stragglers run the scalar evaluator.
+    covered by recorded control-flow regions; uncovered stragglers run
+    the scalar evaluator.  ``max_tapes`` is an upper bound on the
+    recordings: the yield rule (:func:`_cover`) stops earlier once
+    recent tapes cover too few points to pay, and
+    ``GridResult.stop_reason`` says which stop applied.
 
     Args:
         compiled: output of :func:`compile_programs`.
@@ -783,18 +863,42 @@ def evaluate_grid(
     pts = list(grid)
     if not pts:
         return GridResult([], [], 0, 0)
-    caps = _validate_grid(compiled, pts, hw_barrier_cost, max_tapes, capacity)
+    ops = _grid_ops(
+        compiled, pts, latency, fabric, capacity, max_tapes,
+        dict(
+            enforce_capacity=enforce_capacity,
+            hw_barrier_cost=hw_barrier_cost,
+            compute_jitter=compute_jitter,
+            max_events=max_events,
+        ),
+    )
+    n = len(pts)
+    makespans = [0.0] * n
+    stalls = [0.0] * n
+    tapes, fallbacks, divergent, stop = _cover(
+        range(n), makespans, stalls, max_tapes, ops
+    )
+    divergent.sort()
+    return GridResult(
+        makespans, stalls, tapes, fallbacks, divergent, stop_reason=stop
+    )
+
+
+def _grid_ops(
+    compiled, pts: list, latency, fabric, capacity, max_tapes: int, core: dict
+) -> _CoverOps:
+    """Validate :func:`evaluate_grid`'s arguments and return its
+    :class:`_CoverOps`: column ``i`` is ``pts[i]``.  ``core`` holds the
+    remaining keyword arguments, passed to every recording and
+    fallback."""
+    caps = _validate_grid(
+        compiled, pts, core["hw_barrier_cost"], max_tapes, capacity
+    )
     timing = _recordable(_resolve_timing(pts, None, latency, fabric))
     if timing[0] in ("draw", "fabric"):
         timing[1].reset()
         timing[1].attach(None, compiled.P, False)
     model = timing[1].model if timing[0] == "draw" else None
-    core = dict(
-        enforce_capacity=enforce_capacity,
-        hw_barrier_cost=hw_barrier_cost,
-        compute_jitter=compute_jitter,
-        max_events=max_events,
-    )
     raw = _raw_points(pts)
     cap_arr = np.asarray(caps, dtype=np.int64)
 
@@ -823,16 +927,7 @@ def evaluate_grid(
         )
         return res.makespan, res.total_stall_time
 
-    n = len(pts)
-    makespans = [0.0] * n
-    stalls = [0.0] * n
-    tapes, fallbacks, divergent = _cover(
-        range(n), makespans, stalls, max_tapes=max_tapes, record=record,
-        replay_inputs=replay_inputs, fallback=fallback,
-        diverged=TimingDivergence,
-    )
-    divergent.sort()
-    return GridResult(makespans, stalls, tapes, fallbacks, divergent)
+    return _CoverOps(record, replay_inputs, fallback, TimingDivergence)
 
 
 def evaluate_seed_grid(
@@ -871,6 +966,9 @@ def evaluate_seed_grid(
     ``FixedLatency`` columns take the machine's fixed fast path (a
     different float ordering than drawn flights), so they share tapes
     only with each other; mixed factories are handled by partitioning.
+    The two column groups share the ``max_tapes`` budget, an upper
+    bound: each group's recording may stop earlier by the yield rule
+    (:func:`_cover`).
     """
     pts = list(grid)
     seed_list = list(seeds)
@@ -879,7 +977,52 @@ def evaluate_seed_grid(
     ncols = npts * nseeds
     if ncols == 0:
         return SeedGridResult([], [], npts, nseeds, 0, 0)
-    caps = _validate_grid(compiled, pts, hw_barrier_cost, max_tapes, capacity)
+    ops, groups = _seed_grid_ops(
+        compiled, pts, seed_list, latency_factory, capacity, max_tapes,
+        dict(
+            enforce_capacity=enforce_capacity,
+            hw_barrier_cost=hw_barrier_cost,
+            compute_jitter=compute_jitter,
+            max_events=max_events,
+        ),
+    )
+    makespans = [0.0] * ncols
+    stalls = [0.0] * ncols
+    tapes = 0
+    fallbacks = 0
+    divergent: list[int] = []
+    stops = []
+    for group in groups:
+        t, f, d, stop = _cover(
+            group, makespans, stalls, max_tapes - tapes, ops
+        )
+        tapes += t
+        fallbacks += f
+        divergent += d
+        stops.append(stop)
+    divergent.sort()
+    return SeedGridResult(
+        makespans, stalls, npts, nseeds, tapes, fallbacks, divergent,
+        stop_reason=_first_early_stop(stops),
+    )
+
+
+def _first_early_stop(stops: list) -> str:
+    """The first ``stop_reason`` other than ``"covered"``, if any."""
+    return next((s for s in stops if s != "covered"), "covered")
+
+
+def _seed_grid_ops(
+    compiled, pts: list, seed_list: list, latency_factory, capacity,
+    max_tapes: int, core: dict,
+) -> tuple[_CoverOps, tuple[list, list]]:
+    """Validate :func:`evaluate_seed_grid`'s arguments and return its
+    :class:`_CoverOps` (column ``p * len(seed_list) + s``) with the
+    drawn and the fixed-latency column groups."""
+    nseeds = len(seed_list)
+    caps = _validate_grid(
+        compiled, pts, core["hw_barrier_cost"], max_tapes, capacity
+    )
     models = []
     timings = []
     for p in pts:
@@ -891,12 +1034,6 @@ def evaluate_seed_grid(
                 timing = ("const_axis", timing[1])
             models.append(m)
             timings.append(timing)
-    core = dict(
-        enforce_capacity=enforce_capacity,
-        hw_barrier_cost=hw_barrier_cost,
-        compute_jitter=compute_jitter,
-        max_events=max_events,
-    )
     raw = _raw_points(pts)
     cap_arr = np.asarray(caps, dtype=np.int64)
     n_msgs = compiled.n_messages
@@ -947,26 +1084,11 @@ def evaluate_seed_grid(
         )
         return res.makespan, res.total_stall_time
 
-    makespans = [0.0] * ncols
-    stalls = [0.0] * ncols
-    tapes = 0
-    fallbacks = 0
-    divergent: list[int] = []
-    drawn = [c for c in range(ncols) if timings[c][0] == "draw"]
-    fixed = [c for c in range(ncols) if timings[c][0] == "const_axis"]
-    for group in (drawn, fixed):
-        t, f, d = _cover(
-            group, makespans, stalls, max_tapes=max_tapes - tapes,
-            record=record, replay_inputs=replay_inputs, fallback=fallback,
-            diverged=TimingDivergence,
-        )
-        tapes += t
-        fallbacks += f
-        divergent += d
-    divergent.sort()
-    return SeedGridResult(
-        makespans, stalls, npts, nseeds, tapes, fallbacks, divergent
-    )
+    cols = range(len(timings))
+    drawn = [c for c in cols if timings[c][0] == "draw"]
+    fixed = [c for c in cols if timings[c][0] == "const_axis"]
+    ops = _CoverOps(record, replay_inputs, fallback, TimingDivergence)
+    return ops, (drawn, fixed)
 
 
 def evaluate_forked(
@@ -994,10 +1116,13 @@ def evaluate_forked(
     its branch decisions — and re-fork on the divergent rest.  Each
     fork resolves at least its own reference point, so the loop
     terminates; after ``max_forks`` regions (default: the ``max_tapes``
-    budget) stragglers get an exact per-point recompile.  Results are
-    bit-identical to the machine everywhere, and a program whose clock
-    observations never reach a fixed point refuses loudly with
-    :class:`~repro.sim.compiled.CompileError` (from ``compile_at``).
+    budget) stragglers get an exact per-point recompile.  Each fork's
+    grid records under :func:`evaluate_grid`'s rules, the yield rule
+    included; ``stop_reason`` is the first fork's early stop, if any.
+    Results are bit-identical to the machine everywhere, and a program
+    whose clock observations never reach a fixed point refuses loudly
+    with :class:`~repro.sim.compiled.CompileError` (from
+    ``compile_at``).
 
     ``programs`` must be a factory ``(rank, P) -> generator`` — each
     fork drives fresh generators.
@@ -1014,6 +1139,7 @@ def evaluate_forked(
     tapes = 0
     fallbacks = 0
     forks = 0
+    stops = []
     while remaining and forks < max_forks:
         ref = remaining[0]
         compiled = compile_at(
@@ -1043,6 +1169,7 @@ def evaluate_forked(
         )
         tapes += gr.tapes
         fallbacks += gr.fallbacks
+        stops.append(gr.stop_reason)
         div = set(gr.divergent)
         nxt = []
         for j, i in enumerate(remaining):
@@ -1085,4 +1212,7 @@ def evaluate_forked(
         fallbacks += 1
         makespans[i] = res.makespan
         stalls[i] = res.total_stall_time
-    return GridResult(makespans, stalls, tapes, fallbacks)
+    return GridResult(
+        makespans, stalls, tapes, fallbacks,
+        stop_reason=_first_early_stop(stops),
+    )

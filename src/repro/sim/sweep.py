@@ -400,6 +400,13 @@ class GridGroupReport:
     the ``FoldError`` text verbatim when folding was attempted under
     ``fold="auto"`` but the program's shape refused, or a note when
     individual points diverged back to the unfolded evaluator.
+
+    ``stop_reason`` says why a compiled group stopped recording tapes
+    (``GridResult.stop_reason``): ``"covered"`` when no point was left
+    to record, ``"max_tapes"`` when the budget ran out, or ``"yield:
+    N columns over the last W tapes"`` when the yield rule judged a
+    further tape would not pay; its ``fallbacks`` then ran scalar.
+    Empty for a machine group.
     """
 
     P: int
@@ -411,6 +418,7 @@ class GridGroupReport:
     fold: str = "off"
     classes: int = 0
     fold_reason: str = ""
+    stop_reason: str = ""
 
 
 @dataclass(slots=True)
@@ -502,7 +510,10 @@ def grid_map(
             are machine-only: ``backend="auto"`` or ``"compiled"``
             refuses them loudly, exactly like a lossy fabric.
         max_tapes: forwarded to
-            :func:`repro.sim.compiled.evaluate_grid`.
+            :func:`repro.sim.compiled.evaluate_grid`: an upper bound on
+            the tapes recorded per ``P`` group.  The yield rule of
+            ``grid._cover`` may stop recording first; the report's
+            ``stop_reason`` says which stop applied.
         report: a :class:`GridMapReport` to fill with the per-``P``
             dispatch decisions (which path ran, and the ``CompileError``
             reason when a group degraded to the machine).
@@ -617,6 +628,7 @@ def grid_map(
             _note(
                 P=P, n_points=len(indices), path="compiled-forked",
                 tapes=gr.tapes, fallbacks=gr.fallbacks,
+                stop_reason=gr.stop_reason,
             )
         except CompileError as exc:
             if backend == "compiled":
@@ -679,6 +691,7 @@ def grid_map(
                             tapes=gr.tapes, fallbacks=gr.fallbacks,
                             fold="on", classes=gr.classes,
                             fold_reason=fold_reason,
+                            stop_reason=gr.stop_reason,
                         )
             if gr is None:
                 gr = evaluate_grid(prog, group_pts, **common)
@@ -686,6 +699,7 @@ def grid_map(
                     P=P, n_points=len(indices), path="compiled",
                     tapes=gr.tapes, fallbacks=gr.fallbacks,
                     fold_reason=unfold_reason,
+                    stop_reason=gr.stop_reason,
                 )
         # zip, not indexing: a backend returning too few results leaves
         # holes for _require_filled to name instead of crashing here.

@@ -52,3 +52,17 @@ def test_serve_degraded_smoke():
     assert report["serve_degraded_requests_per_s"] == round(
         requests / t["median"], 1
     )
+
+
+def test_tape_cost_reports_a_ratio_per_shape():
+    report = bench.run_all(smoke=True, reps=1, only="tape_cost")
+    ratios = report["tape_cost_ratios"]
+    assert sorted(ratios) == [
+        "bcast_osweep_p8", "fold_p2048", "fold_p64", "jitter_seeds_p8",
+        "stream_p6",
+    ]
+    t = report["timings_s"]
+    for shape, ratio in ratios.items():
+        stem = f"tape_cost_{shape}"
+        cost = t[stem + "_record_s"]["median"] + t[stem + "_replay_s"]["median"]
+        assert ratio == round(cost / t[stem + "_scalar_s"]["median"], 2)

@@ -38,6 +38,7 @@ from repro.sim import (
     Send,
     UniformLatency,
 )
+from repro.sim.compiled import grid as compiled_grid
 from repro.sim.compiled import (
     BACKENDS,
     CompileError,
@@ -54,6 +55,7 @@ from repro.sim.compiled import (
     resolve_backend,
 )
 from repro.sim.fuzz import LATENCIES, make_case
+from repro.sim.latency import JitteredLatency
 from repro.sim.net import FaultyFabric, LatencyFabric, TopologyFabric
 from repro.sim.sweep import GridMapReport, grid_map
 
@@ -241,7 +243,10 @@ GRID = [
 
 
 @pytest.mark.parametrize("factory", [_bcast, _flood])
-def test_grid_matches_machine_per_point(factory):
+def test_grid_matches_machine_per_point(factory, monkeypatch):
+    # The tape path's per-point parity pin: with the yield rule off,
+    # every point is covered by a recorded tape.
+    monkeypatch.setattr(compiled_grid, "_BREAK_EVEN", 0)
     gr = evaluate_grid(compile_programs(factory, 8), GRID, max_tapes=64)
     assert gr.fallbacks == 0  # every point tape-covered, none punted
     for i, p in enumerate(GRID):
@@ -262,6 +267,90 @@ def test_grid_scalar_fallback_is_exact():
     full = evaluate_grid(prog, GRID[:6], max_tapes=64)
     assert gr.makespans == full.makespans
     assert gr.total_stall_times == full.total_stall_times
+
+
+def _yield_rule_cases():
+    """The yield rule's grids, as ``repro.bench``'s ``tape_cost`` prices
+    them: ``name -> (evaluate, machine_runs, high_yield, low_yield)``."""
+    from repro.serve.registry import build
+
+    stream = build("stream", {"k": 16}, None)
+    bcast = build("bcast_tree", {"k": 8}, None)
+
+    def machine(pts, programs):
+        return lambda: [LogPMachine(p, trace=False).run(programs) for p in pts]
+
+    # perfbench grid_sweep's stream_scalar shape: tapes cover 1-3 points.
+    s_pts = [
+        LogPParams(L=1.0 + (i % 10) * 1.37, o=0.5 + (i // 10 % 5) * 0.61,
+                   g=0.5, P=6)
+        for i in range(50)
+    ]
+    # A bcast_tree o-sweep: 6 tapes cover 128 points.
+    b_pts = [LogPParams(L=6.0, o=0.25 + 7.75 * i / 127, g=4.0, P=8)
+             for i in range(128)]
+    j_pts = [LogPParams(L=6.0, o=1.0 + 0.75 * i, g=4.0, P=8)
+             for i in range(4)]
+    seeds = range(10)
+
+    def jitter(p, s):
+        return JitteredLatency(6.0, scale_frac=0.25, seed=s)
+
+    f_prog = pipelined_broadcast_program(binomial_tree(64), [0])
+    f_pts = [LogPParams(L=4.0 + i, o=2.0, g=4.0, P=64) for i in range(16)]
+    return {
+        "stream_low_yield": (
+            lambda: evaluate_grid(compile_programs(stream, 6), s_pts),
+            machine(s_pts, stream), False, True,
+        ),
+        "bcast_osweep_high_yield": (
+            lambda: evaluate_grid(compile_programs(bcast, 8), b_pts),
+            machine(b_pts, bcast), True, False,
+        ),
+        "jitter_seed_grid": (
+            lambda: evaluate_seed_grid(
+                compile_programs(bcast, 8), j_pts, seeds, jitter
+            ),
+            lambda: [
+                LogPMachine(p, latency=jitter(p, s), trace=False).run(bcast)
+                for p in j_pts
+                for s in seeds
+            ],
+            False, True,
+        ),
+        "folded": (
+            lambda: evaluate_folded_grid(
+                fold_program(compile_programs(f_prog, 64)), f_pts
+            ),
+            machine(f_pts, f_prog), False, False,
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_yield_rule_cases()))
+def test_yield_rule_moves_cost_never_values(name, monkeypatch):
+    """Recording stops once recent tapes cover too few points; the
+    scalar fallback fills the rest with the same bits."""
+    run, machine_runs, high_yield, low_yield = _yield_rule_cases()[name]
+    on = run()
+    again = run()
+    with monkeypatch.context() as m:
+        m.setattr(compiled_grid, "_BREAK_EVEN", 0)
+        off = run()
+    want = [(r.makespan, r.total_stall_time) for r in machine_runs()]
+    for gr in (on, off):
+        assert list(zip(gr.makespans, gr.total_stall_times)) == want
+    assert on.tapes <= off.tapes
+    assert (on.tapes, on.fallbacks, on.stop_reason) == (
+        again.tapes, again.fallbacks, again.stop_reason
+    )
+    if high_yield:
+        assert (on.tapes, on.fallbacks, on.stop_reason) == (
+            off.tapes, off.fallbacks, off.stop_reason
+        )
+    if low_yield:
+        assert on.stop_reason.startswith("yield: ")
+        assert on.tapes == compiled_grid._YIELD_WINDOW < off.tapes
 
 
 def test_grid_rejects_mismatched_p():
@@ -650,6 +739,7 @@ def test_forked_fallback_refusal_semantics():
     [group] = report.groups
     assert group.path == "machine"
     assert "assumed clock" in group.reason
+    assert group.stop_reason == ""  # no tape recorded on the machine
     assert report.degraded == [group]
     with pytest.raises(CompileError, match="assumed clock"):
         grid_map(_fragile_now, pts, backend="compiled")
@@ -664,12 +754,14 @@ def test_grid_map_report_names_dispatch_paths():
     [group] = report.groups
     assert (group.path, group.P, group.n_points) == ("compiled", 8, 1)
     assert group.tapes >= 1 and group.reason == ""
+    assert group.stop_reason == "covered"
 
     report = GridMapReport()
     grid = [LogPParams(L=4, o=1, g=2, P=2), LogPParams(L=9, o=1, g=2, P=2)]
     res = grid_map(_now_prog, grid, backend="auto", report=report)
     [group] = report.groups
     assert group.path == "compiled-forked" and group.tapes >= 1
+    assert group.stop_reason == "covered"
     assert not report.degraded
     assert res == grid_map(_now_prog, grid, backend="machine")
 

@@ -217,6 +217,88 @@ class TestPersistenceUnit:
         assert (tmp_path / CachePersistence.JOURNAL).read_text() == ""
 
 
+#: Serves two requests on a cache dir with the ``repro`` found on
+#: ``PYTHONPATH``; prints what the replay loaded and what was served
+#: from the cache.
+_CACHE_LIFE = """
+import asyncio, json, sys, warnings
+from repro.serve import ServeConfig, SimulationServer, SweepRequest
+
+async def main():
+    points = [{"L": 6.0, "o": 2.0, "g": 4.0, "P": 4},
+              {"L": 8.0, "o": 1.0, "g": 4.0, "P": 4}]
+    config = ServeConfig(batch_window=0.0, workers=1, cache_dir=sys.argv[1])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        async with SimulationServer(config) as server:
+            persist = server.stats_snapshot()["persistence"]
+            cached = 0
+            for family in ("stream", "bcast_tree"):
+                job = await server.submit(
+                    SweepRequest.make(family, points, args={"k": 4})
+                )
+                await job.wait()
+                cached += job.sources["cache"]
+    print(json.dumps({
+        "loaded": persist["loaded"],
+        "dropped_stale": persist["dropped_stale"],
+        "cached": cached,
+        "warnings": [str(w.message) for w in caught
+                     if issubclass(w.category, RuntimeWarning)],
+    }))
+
+asyncio.run(main())
+"""
+
+
+class TestCodeEditInvalidatesCache:
+    def test_evaluator_edit_drops_every_persisted_entry(self, tmp_path):
+        """A cache written by one copy of the code and replayed by the
+        same copy after a one-token edit to the compiled evaluator:
+        every entry is dropped as stale, loudly, and none is served."""
+        import json
+        import shutil
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        root = tmp_path / "src"
+        shutil.copytree(
+            Path(repro.__file__).parent, root / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        cache_dir = tmp_path / "cache"
+
+        def life() -> dict:
+            env = dict(os.environ, PYTHONPATH=str(root))
+            out = subprocess.run(
+                [sys.executable, "-c", _CACHE_LIFE, str(cache_dir)],
+                env=env, capture_output=True, text=True, timeout=120,
+                check=True,
+            )
+            return json.loads(out.stdout)
+
+        first = life()
+        assert first["loaded"] == 0 and first["cached"] == 0
+        same = life()  # the unedited copy serves all four points warm
+        assert same["loaded"] == 4 and same["dropped_stale"] == 0
+        assert same["cached"] == 4
+
+        evaluator = root / "repro" / "sim" / "compiled" / "evaluator.py"
+        text = evaluator.read_text()
+        assert text.count("_PAST_TOL = 1e-12") == 1
+        evaluator.write_text(
+            text.replace("_PAST_TOL = 1e-12", "_PAST_TOL = 1e-9")
+        )
+        edited = life()
+        assert edited["loaded"] == 0
+        assert edited["dropped_stale"] == 4
+        assert edited["cached"] == 0
+        assert any("stale" in w for w in edited["warnings"])
+
+
 def _lines(path) -> int:
     return len(path.read_bytes().splitlines()) if path.exists() else 0
 
@@ -446,7 +528,12 @@ class TestKillNineReplay:
     def test_journal_replay_after_kill_nine(self, tmp_path):
         """A real server subprocess SIGKILLed after serving: its second
         life must replay the journal and serve the same bits warm."""
-        from repro.serve.chaos import _spawn_server, _stats_once, _submit_once
+        from repro.serve.chaos import (
+            _spawn_server,
+            _stats_once,
+            _stop_server,
+            _submit_once,
+        )
 
         req = {
             "program": "bcast_tree",
@@ -460,15 +547,13 @@ class TestKillNineReplay:
         try:
             first = _submit_once(host, port, **req)["results"]
         finally:
-            proc.kill()  # SIGKILL: no aclose, no snapshot — journal only
-            proc.wait(timeout=30)
+            _stop_server(proc)  # SIGKILL: no aclose, no snapshot — journal only
         proc, host, port = _spawn_server(str(tmp_path))
         try:
             stats = _stats_once(host, port)
             frame = _submit_once(host, port, **req)
         finally:
-            proc.kill()
-            proc.wait(timeout=30)
+            _stop_server(proc)
         assert stats["persistence"]["loaded"] == 3
         assert stats["persistence"]["dropped_stale"] == 0
         assert frame["results"] == first
@@ -519,6 +604,23 @@ class TestDeadlines:
 
 
 class TestAdmission:
+    def test_unhashable_args_are_refused_before_registration(self):
+        # The fingerprint is computed first in submit(), so an argument
+        # no cache key can hold is refused before any point is
+        # registered in flight, and the server still closes.
+        async def run():
+            server = SimulationServer(ServeConfig(batch_window=0.0, workers=1))
+            await server.start()
+            with pytest.raises(TypeError, match="unhashable"):
+                await server.submit(
+                    SweepRequest.make("stream", POINTS[:1], args={"k": [1]})
+                )
+            inflight = server.stats_snapshot()["inflight"]
+            await asyncio.wait_for(server.aclose(), 30)
+            return inflight
+
+        assert asyncio.run(run()) == 0
+
     def test_overload_is_refused_atomically(self):
         async def run():
             config = ServeConfig(
