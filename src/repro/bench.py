@@ -63,6 +63,15 @@ pytest-benchmark suite:
   shape from medians in ``tape_cost_ratios``.  The yield rule of
   :func:`~repro.sim.compiled.grid._cover` takes its constants from
   these ratios;
+* ``shard_cost`` — one process-pool round trip against in-process work
+  per point: ``_eval_shard`` timed in-process on 1, 32 and 256 compiled
+  ``bcast_tree`` points at P = 4, 8, 16 (1 and 8 machine ``flood``
+  points at k = 4, 12) and its 1-point chunk through a started 2-worker
+  :class:`~repro.sim.supervise.SupervisedPool`.  ``shard_cost`` reports
+  the round trip ``r_ms`` and per-point cost ``c_us`` per shape and
+  ``shard_points``, ``S = ceil(r / min c)`` per backend class with
+  ``r`` from the cheapest chunk, from medians.  The server's two shard
+  sizes come from it;
 * ``serve_degraded`` — serving throughput *under fire*: machine-backend
   sweeps sharded across a :class:`~repro.sim.supervise.SupervisedPool`,
   one pool worker SIGKILLed a fixed delay into each request (every
@@ -150,17 +159,27 @@ def _peak_rss_kb() -> int:
 
 def _timed(fn: Callable[[], object], reps: int) -> dict:
     """Run ``fn`` ``reps`` times: ``{n, min, median, max}`` wall seconds."""
-    samples = []
+    return _interleaved([fn], reps)[0]
+
+
+def _interleaved(fns: list, reps: int) -> list[dict]:
+    """:func:`_timed` for several functions, one call of each per rep,
+    so that host drift hits them alike."""
+    samples = [[] for _ in fns]
     for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
-    return {
-        "n": reps,
-        "min": min(samples),
-        "median": statistics.median(samples),
-        "max": max(samples),
-    }
+        for fn, out in zip(fns, samples):
+            t0 = time.perf_counter()
+            fn()
+            out.append(time.perf_counter() - t0)
+    return [
+        {
+            "n": reps,
+            "min": min(s),
+            "median": statistics.median(s),
+            "max": max(s),
+        }
+        for s in samples
+    ]
 
 
 def _check_parity(name: str, got: list, want: list, unit: str) -> None:
@@ -367,7 +386,7 @@ def _serve_degraded(
                 pass
 
     async def _run() -> tuple[list, int]:
-        config = ServeConfig(workers=2, batch_window=0.0, shard_min_points=2)
+        config = ServeConfig(workers=2, batch_window=0.0)
         loop = asyncio.get_running_loop()
         got = []
         async with SimulationServer(config) as server:
@@ -685,6 +704,81 @@ def _tape_cost(reps: int, timings: dict) -> dict:
     return ratios
 
 
+def _shard_cost(reps: int, timings: dict) -> dict:
+    """Price one pool round trip against in-process work per point.
+
+    The shapes: ``bcast_tree`` (k = 8) o-sweeps at P = 4, 8 and 16, the
+    cheapest compiled work per point that perfbench's ``serve_cold``
+    serves (one tape replay a point), and ``flood`` at P = 8 with
+    k = 4 (``serve_cold``'s machine floods) and k = 12
+    (``serve_degraded``'s).  Per shape,
+    :func:`~repro.serve.server._eval_shard` runs in-process on 1, 32 and
+    256 compiled points (1 and 8 machine points), and its 1-point chunk
+    runs through ``map`` on a started 2-worker
+    :class:`~repro.sim.supervise.SupervisedPool`, all of a shape's runs
+    interleaved rep by rep.  The pool is built here, not from
+    ``REPRO_SWEEP_WORKERS``, so it forks even where that pins sweeps to
+    one process.  ``r`` is the pool median minus the in-process median
+    of the 1-point chunk; ``c`` is the per-point slope, (256 - 32) for
+    compiled shapes and (8 - 1) for machine ones.  ``S = ceil(r / min
+    c)`` per backend class is the shard size whose cheapest work repays
+    one round trip, with ``r`` taken from the shape whose 1-point chunk
+    runs fastest in-process.  A round trip is a fixed cost, but the
+    difference of two medians also carries the chunk's own run time in
+    two processes: the waiting side's wake-up, which grows with the
+    wait, and the speed gap between the two cores.  That noise is least
+    for the cheapest chunk.  Medians throughout; the timings land in
+    ``timings``.
+    """
+    import math
+    from functools import partial
+
+    from .serve.server import _eval_shard
+    from .sim.supervise import SupervisedPool
+
+    shapes = [
+        (f"bcast_p{P}", "compiled", ("bcast_tree", (("k", 8),), None, "auto"),
+         [(4.0, 1.0 + 3.0 * i / 256, 4.0, P, None) for i in range(256)])
+        for P in (4, 8, 16)
+    ] + [
+        (f"flood_k{k}", "machine", ("flood", (("k", k),), None, "machine"),
+         [(4.0, 1.0 + i / 8.0, 2.0, 8, None) for i in range(8)])
+        for k in (4, 12)
+    ]
+    r_ms, c_us, one = {}, {}, {}
+    with SupervisedPool(2) as pool:
+        for name, cls, shard_args, raw in shapes:
+            fn = partial(_eval_shard, *shard_args, None)
+            sizes = (1, 32, 256) if cls == "compiled" else (1, 8)
+            fn(raw[:1])  # warm the in-process imports and caches
+            pool.map(fn, [raw[:1]])  # starts the pool on the first shape
+            *inproc, pooled = _interleaved(
+                [*(lambda m=m: fn(raw[:m]) for m in sizes),
+                 lambda: pool.map(fn, [raw[:1]])],
+                reps,
+            )
+            stem = f"shard_cost_{name}"
+            for m, t in zip(sizes, inproc):
+                timings[f"{stem}_{m}_s"] = t
+            timings[f"{stem}_pool_s"] = pooled
+            med = {m: t["median"] for m, t in zip(sizes, inproc)}
+            lo, hi = sizes[-2:]
+            one[name] = med[1]
+            r_ms[name] = (pooled["median"] - med[1]) * 1e3
+            c_us[name] = (med[hi] - med[lo]) / (hi - lo) * 1e6
+    r = r_ms[min(one, key=one.get)]
+    return {
+        "r_ms": {n: round(v, 4) for n, v in r_ms.items()},
+        "c_us": {n: round(v, 2) for n, v in c_us.items()},
+        "shard_points": {
+            cls: math.ceil(r * 1e3 / min(
+                c_us[name] for name, of, _a, _p in shapes if of == cls
+            ))
+            for cls in ("compiled", "machine")
+        },
+    }
+
+
 # ----------------------------------------------------------------------
 
 
@@ -818,6 +912,9 @@ def run_all(
     tape_cost: dict | None = None
     if want("tape_cost"):
         tape_cost = _tape_cost(reps, timings)
+    shard_cost: dict | None = None
+    if want("shard_cost"):
+        shard_cost = _shard_cost(reps, timings)
     degraded_deaths: list[int] = []
     if want("serve_degraded"):
         dg_requests, dg_expected = _serve_degraded_requests(
@@ -910,6 +1007,8 @@ def run_all(
         report["serve_degraded_worker_deaths"] = degraded_deaths
     if tape_cost is not None:
         report["tape_cost_ratios"] = tape_cost
+    if shard_cost is not None:
+        report["shard_cost"] = shard_cost
     if fault_reports:
         report["fault_reports"] = fault_reports
     for stem, (ref, fast) in _SPEEDUPS.items():
@@ -969,6 +1068,15 @@ def main(argv: list[str] | None = None) -> int:
             f"{'tape_cost ' + shape:32s} {ratio:9.2f} x "
             "((record + replay) / scalar, medians)"
         )
+    if "shard_cost" in report:
+        sc = report["shard_cost"]
+        for shape, c in sc["c_us"].items():
+            print(
+                f"{'shard_cost ' + shape:32s} r {sc['r_ms'][shape]:.3f} ms, "
+                f"c {c:.2f} us/point"
+            )
+        for cls, size in sc["shard_points"].items():
+            print(f"{'shard_cost S ' + cls:32s} {size:9d} points")
     if "max_rss_kb" in report:
         print(f"{'peak RSS':32s} {report['max_rss_kb'] / 1024:9.1f} MB")
 

@@ -13,7 +13,8 @@ existing execution stack:
 * :mod:`.server` — :class:`SimulationServer`, the asyncio job engine:
   request-level dedup, result caching, cross-request batch coalescing
   into single vectorized compiled-grid evaluations, process-pool
-  sharding for large sweeps, and per-job progress streaming;
+  sharding of every batch past a measured shard size, and per-job
+  progress streaming;
 * :mod:`.protocol` — a JSON-lines TCP protocol plus a thin client;
 * :mod:`.chaos` — the service-level chaos harness: SIGKILLed pool
   workers, a server killed and restarted mid-job, a journal truncated

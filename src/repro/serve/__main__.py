@@ -38,7 +38,6 @@ async def _serve_forever(args) -> int:
     config = ServeConfig(
         workers=args.workers,
         batch_window=args.batch_window,
-        shard_min_points=args.shard_min_points,
         cache_entries=args.cache_entries,
         max_pending_points=args.max_pending,
         default_deadline=args.default_deadline,
@@ -76,8 +75,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="process-pool size for sharded batches (default: "
-        "REPRO_SWEEP_WORKERS, then cpu count)",
+        help="process-pool size; with 2 or more, every batch that gives "
+        "2 workers a measured shard size each runs on the pool, and 1 "
+        "evaluates every batch in-process (default: REPRO_SWEEP_WORKERS, "
+        "then cpu count)",
     )
     parser.add_argument(
         "--batch-window", type=float, default=0.002, metavar="SECONDS",
@@ -85,11 +86,6 @@ def main(argv: list[str] | None = None) -> int:
         "window merge into one grid evaluation (default 0.002)",
     )
     parser.add_argument("--cache-entries", type=int, default=65_536)
-    parser.add_argument(
-        "--shard-min-points", type=int, default=512, metavar="N",
-        help="smallest per-worker share of a batch worth a process "
-        "dispatch (default 512)",
-    )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist the result cache under DIR (write-ahead journal + "

@@ -14,9 +14,14 @@ cheapest sufficient source, in this order:
    from *any* number of concurrent jobs merge into a single
    :func:`repro.sim.sweep.grid_map` call, which compiles once per
    distinct ``P`` and replays the whole batch through the vectorized
-   compiled-grid evaluator.  Batches past ``shard_min_points`` per
-   worker are split into contiguous chunks and sharded across the
-   persistent :class:`repro.sim.supervise.SupervisedPool`.
+   compiled-grid evaluator.  With a pool, a batch of ``n`` points
+   splits into ``min(workers, n // S)`` contiguous chunks on the
+   persistent :class:`repro.sim.supervise.SupervisedPool`, and runs
+   in-process only when that is fewer than 2.  ``S`` is a measured
+   shard size per backend class (``_SHARD_COMPILED``,
+   ``_SHARD_MACHINE``): the points whose cheapest work repays one pool
+   round trip.  Evaluation thus leaves the event loop's process for
+   all but the smallest batches.
 
 The determinism contract: every served pair is bit-identical to what
 the serial loop ``[run(point) for point in points]`` produces, whether
@@ -315,14 +320,14 @@ class ServeConfig:
     ``batch_window`` is the coalescing horizon in seconds: points
     arriving within one window merge into one grid evaluation.  0 still
     coalesces whatever is queued when the batcher wakes (one event-loop
-    tick), it just never *waits* for more.  ``shard_min_points`` is the
-    smallest per-worker share of a batch worth a process dispatch —
-    the server-side analogue of the scheduler's ``min_chunk``.
+    tick), it just never *waits* for more.
 
-    With ``workers > 1``, sharded batches run on a
+    With ``workers > 1``, every batch large enough to give 2 workers a
+    measured shard size each runs on a
     :class:`~repro.sim.supervise.SupervisedPool` (worker death is
-    detected, retried, and quarantined); ``workers=1`` means no pool,
-    every batch evaluated in-process.  The robustness knobs:
+    detected, retried, and quarantined; the sizes are not a knob, see
+    ``_SHARD_COMPILED``); ``workers=1`` means no pool, every batch
+    evaluated in-process.  The robustness knobs:
     ``max_pending_points`` bounds admission (``None`` = unbounded — a
     request that would push the in-flight point count past the bound is
     refused with :class:`ServerOverloaded`, never queued into a silent
@@ -337,7 +342,6 @@ class ServeConfig:
 
     workers: int | None = None
     batch_window: float = 0.002
-    shard_min_points: int = 512
     cache_entries: int = 65_536
     max_pending_points: int | None = None
     default_deadline: float | None = None
@@ -493,6 +497,34 @@ def _eval_shard(program, args, seed, backend, latency, raw_pts):
     )
 
 
+#: Shard sizes ``S`` of :func:`_shard_count`: a batch runs on the pool
+#: once each of 2 or more shards gets ``S`` points, the size whose
+#: cheapest work repays one pool round trip ``r``, ``S = ceil(r / c)``.
+#: ``c`` is one tape replay a point for the ``compiled`` and ``auto``
+#: backends and one event-machine run for ``machine``.  ``python -m
+#: repro.bench --only shard_cost`` measures both; seven runs of 41 reps
+#: on a 2-vCPU host gave, as medians over the runs (range in brackets):
+#: ``r`` = 0.34 ms [0.28-0.64], on the cheapest 1-point chunk (a
+#: ``flood`` k = 4 point); ``c`` = 5.5 us [4.6-8.1] for a replayed
+#: ``bcast_tree`` k = 8 point at P = 4 (16.6 at P = 16; 31.2 at P = 8,
+#: where the slope also records a second tape) and 300 us [275-340]
+#: for a machine ``flood`` k = 4 point at P = 8 (800 at k = 12).
+#: Hence ceil(0.344 ms / 5.52 us) = 63 and ceil(0.344 ms / 300 us) = 2.
+#: Both err toward in-process: most compiled points cost more than a
+#: replay (a ``stream`` point runs the scalar evaluator).
+_SHARD_COMPILED = 63
+_SHARD_MACHINE = 2
+
+
+def _shard_count(n: int, backend: str, pool: SupervisedPool | None) -> int:
+    """Pool shards for an ``n``-point batch: ``min(workers, n // S)``;
+    1 (no pool, or fewer than 2 shards) means evaluate in-process."""
+    if pool is None:
+        return 1
+    size = _SHARD_MACHINE if backend == "machine" else _SHARD_COMPILED
+    return max(1, min(pool.workers, n // size))
+
+
 def _eval_batch(
     program,
     args,
@@ -501,20 +533,19 @@ def _eval_batch(
     latency,
     raw_pts: list,
     *,
-    workers: int,
-    shard_min_points: int,
+    shards: int,
     pool: SupervisedPool | None,
 ):
-    """One coalesced batch: shard across the pool when big enough.
+    """One coalesced batch, as ``shards`` pool shards or in-process.
 
-    Shards are contiguous submission-order chunks, merged in order, so
-    the flattened result equals the unsharded ``grid_map`` result
-    point for point (grid grouping is per-point independent).
+    ``shards`` comes from :func:`_shard_count`.  Shards are contiguous
+    submission-order chunks, merged in order, so the flattened result
+    equals the unsharded ``grid_map`` result point for point (grid
+    grouping is per-point independent).
     """
-    n = len(raw_pts)
-    shards = min(workers, n // shard_min_points) if shard_min_points else 0
-    if shards <= 1 or pool is None:
+    if shards == 1:
         return _eval_shard(program, args, seed, backend, latency, raw_pts)
+    n = len(raw_pts)
     size = -(-n // shards)
     chunks = [raw_pts[i : i + size] for i in range(0, n, size)]
     per_chunk = sweep_map(
@@ -852,12 +883,8 @@ class SimulationServer:
         self.stats["largest_batch"] = max(
             self.stats["largest_batch"], len(raw_pts)
         )
-        sharded = (
-            self._pool is not None
-            and self.config.shard_min_points
-            and len(raw_pts) // self.config.shard_min_points > 1
-        )
-        if sharded:
+        shards = _shard_count(len(raw_pts), backend, self._pool)
+        if shards > 1:
             self.stats["sharded_batches"] += 1
         try:
             pairs = await asyncio.to_thread(
@@ -868,8 +895,7 @@ class SimulationServer:
                 backend,
                 latency,
                 raw_pts,
-                workers=self.workers,
-                shard_min_points=self.config.shard_min_points,
+                shards=shards,
                 pool=self._pool,
             )
         except Exception as exc:  # noqa: BLE001 - failing the jobs, not us

@@ -17,7 +17,9 @@ end-to-end check against a real TCP server on an ephemeral port:
 2. **Throughput.**  A burst of small submissions over one connection;
    sustained requests/sec is recorded (informational here — perfbench's
    ``serve_hot`` workload measures this read path under its bounds).
-3. **Artifact.**  A JSON report (parity verdicts, requests/sec, cache
+3. **Pool.**  When the server has a pool (``REPRO_SWEEP_WORKERS`` or
+   the CPU count above 1), at least one batch must have run on it.
+4. **Artifact.**  A JSON report (parity verdicts, requests/sec, cache
    hit rate, server counters) written for CI to upload.
 
 Any parity failure returns nonzero — this probe is a correctness gate
@@ -35,6 +37,7 @@ from ..sim.sweep import grid_map
 from .protocol import ServeClient, start_tcp_server
 from .registry import build
 from .server import (
+    _SHARD_MACHINE,
     ServeConfig,
     SimulationServer,
     build_latency,
@@ -88,9 +91,12 @@ async def _smoke(n_o: int, burst: int) -> dict:
         assert await client.ping()
 
         sweep_points = _mixed_points(n_o)
+        # Two machine shards' worth of points: with a pool, this batch
+        # runs on it.
         flood_points = [
-            {"L": 8.0, "o": 1.0, "g": 4.0, "P": 8},
-            {"L": 16.0, "o": 1.0, "g": 2.0, "P": 8},
+            {"L": 8.0 * (i + 1), "o": 1.0, "g": 4.0 if i % 2 == 0 else 2.0,
+             "P": 8}
+            for i in range(2 * _SHARD_MACHINE)
         ]
         want_sweep = _expected("bcast_tree", {"k": 8}, sweep_points, "compiled")
         want_flood = _expected("flood", {"k": 6}, flood_points, "machine")
@@ -218,6 +224,13 @@ async def _smoke(n_o: int, burst: int) -> dict:
             stats["cache"]["hits"] >= len(sweep_points) + burst,
             f"hit_rate={stats['cache']['hit_rate']}",
         )
+        if stats["workers"] > 1:
+            check(
+                "pool_sharded_batches",
+                stats["sharded_batches"] > 0,
+                f"{stats['sharded_batches']} of {stats['batches']} batches "
+                f"on {stats['workers']} workers",
+            )
         health = stats.get("health", {})
         check(
             "health_ready",

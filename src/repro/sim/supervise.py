@@ -45,6 +45,12 @@ asynchronously from a supervision loop:
   ``map_deadline``) bounds the whole call: on expiry every worker is
   killed and :class:`SweepDeadlineError` names the unresolved item
   count — a supervised sweep never hangs past its deadline.
+* **Close from any thread.**  One ``map`` runs at a time, and
+  ``close()`` may come from another thread while it runs (the server
+  maps in a worker thread and closes from its event loop).  The close
+  kills the workers, waits for the map to let go of them, and the map
+  forks no replacement and raises :class:`PoolClosedError`.  A closed
+  pool stays closed; no worker outlives ``close()``.
 
 The determinism contract is :func:`~repro.sim.sweep.sweep_map`'s:
 results merge in submission order, bit-identical to the serial loop for
@@ -69,6 +75,7 @@ from __future__ import annotations
 
 import pickle
 import signal
+import threading
 import time
 import multiprocessing
 from multiprocessing import connection as mp_connection
@@ -78,6 +85,7 @@ from .sweep import resolve_workers
 
 __all__ = [
     "PoisonItemError",
+    "PoolClosedError",
     "SupervisedPool",
     "SweepDeadlineError",
     "WorkerRestartStorm",
@@ -122,6 +130,11 @@ class SweepDeadlineError(RuntimeError):
         self.deadline = deadline
         self.pending = pending
         self.total = total
+
+
+class PoolClosedError(RuntimeError):
+    """``map`` on a closed pool, or a ``map`` that a ``close()`` from
+    another thread aborted; its partial results are dropped."""
 
 
 class WorkerRestartStorm(RuntimeError):
@@ -219,8 +232,15 @@ class SupervisedPool:
     """A self-healing process pool; see the module docstring.
 
     Pass it to ``sweep_map(..., pool=...)`` to keep workers alive across
-    sweeps.  Not thread-safe: one ``map`` at a time (the serve batcher
-    and the bench loops already serialize their sweeps).
+    sweeps.  One ``map`` runs at a time: a second one, from any thread,
+    raises ``RuntimeError`` while the first runs.  ``close()`` may come
+    from any thread, also while a ``map`` runs in another (the serve
+    batcher maps in a worker thread; ``aclose`` closes from the event
+    loop).  It then kills that map's workers whatever ``drain`` says,
+    since their results can no longer be returned, and waits for the
+    map to let go of them; the map spawns nothing more and raises
+    :class:`PoolClosedError`.  A closed pool stays closed, and no worker
+    outlives ``close()``.
 
     Args:
         workers: slot count; ``None`` resolves via
@@ -281,6 +301,15 @@ class SupervisedPool:
         #: Worker deaths observed (cumulative; includes heartbeat kills).
         self.deaths = 0
         self._handles: list[_WorkerHandle] = []
+        #: Guards ``_closed``, the map owner and every change to
+        #: ``_handles``; a worker is forked only under it, after a check
+        #: that the pool is still open.  Reentrant, so a ``close()`` from
+        #: a signal handler in the mapping thread cannot deadlock.
+        self._lock = threading.RLock()
+        self._closed = False
+        self._map_owner: int | None = None  # thread ident of the map
+        self._map_idle = threading.Event()
+        self._map_idle.set()
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None
@@ -297,9 +326,13 @@ class SupervisedPool:
         """Live worker PIDs — what a chaos harness aims its SIGKILLs at."""
         return [
             h.proc.pid
-            for h in self._handles
+            for h in list(self._handles)
             if h.proc.pid is not None and h.proc.is_alive()
         ]
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise PoolClosedError("SupervisedPool is closed")
 
     def _spawn(self) -> _WorkerHandle:
         parent_conn, child_conn = self._ctx.Pipe()
@@ -313,16 +346,13 @@ class SupervisedPool:
     def _ensure_started(self) -> None:
         # Replace slots whose worker died while the pool sat idle
         # (between map calls nobody watches the sentinels).
-        alive = []
-        for h in self._handles:
-            if h.proc.is_alive():
-                alive.append(h)
-            else:
-                self._discard(h)
-                self.restarts += 1
-        self._handles = alive
-        while len(self._handles) < self.workers:
-            self._handles.append(self._spawn())
+        for h in list(self._handles):
+            if not h.proc.is_alive():
+                self._replace(h)
+        with self._lock:
+            while len(self._handles) < self.workers:
+                self._check_open()
+                self._handles.append(self._spawn())
 
     def _discard(self, h: _WorkerHandle) -> None:
         try:
@@ -335,19 +365,26 @@ class SupervisedPool:
 
     def _replace(self, h: _WorkerHandle) -> None:
         self._discard(h)
-        self.restarts += 1
-        self._handles[self._handles.index(h)] = self._spawn()
+        with self._lock:
+            self._check_open()
+            slot = self._handles.index(h)
+            self.restarts += 1
+            self._handles[slot] = self._spawn()
 
     def close(self, drain: bool = True) -> None:
-        """Tear the pool down.
+        """Tear the pool down; see the class docstring for threads.
 
         ``drain=True`` (default) asks each worker to finish and exit via
         a shutdown frame and joins it; a worker that ignores the frame
-        for 5s is killed.  ``drain=False`` SIGKILLs immediately.  ``map``
-        is synchronous, so there is never un-returned work to lose at
-        close time — drain only changes how politely workers exit.
+        for 5s is killed.  ``drain=False`` SIGKILLs immediately, and so
+        does a close while a ``map`` runs in another thread.
         """
-        for h in self._handles:
+        with self._lock:
+            self._closed = True
+            handles = list(self._handles)
+            owner = self._map_owner
+        drain = drain and owner is None
+        for h in handles:
             if drain:
                 try:
                     h.conn.send(None)
@@ -355,7 +392,15 @@ class SupervisedPool:
                     pass
             else:
                 h.proc.kill()
-        for h in self._handles:
+        if owner is not None and owner != threading.get_ident():
+            # The map wakes on the killed workers' sentinels, raises
+            # PoolClosedError and lets go of the pipes before we close
+            # them under it.
+            self._map_idle.wait(timeout=5.0)
+        with self._lock:
+            handles = list(self._handles)
+            self._handles = []
+        for h in handles:
             h.proc.join(timeout=5.0 if drain else 1.0)
             if h.proc.is_alive():
                 h.proc.kill()
@@ -364,7 +409,6 @@ class SupervisedPool:
                 h.conn.close()
             except OSError:
                 pass
-        self._handles = []
 
     def __enter__(self) -> "SupervisedPool":
         return self
@@ -386,9 +430,25 @@ class SupervisedPool:
     ) -> list:
         """Submission-order map with supervision; see the module docstring."""
         items = list(items)
-        n = len(items)
-        if n == 0:
+        if not items:
             return []
+        with self._lock:
+            self._check_open()
+            if self._map_owner is not None:
+                raise RuntimeError(
+                    "SupervisedPool.map is already running; one map at a time"
+                )
+            self._map_owner = threading.get_ident()
+            self._map_idle.clear()
+        try:
+            return self._map(fn, items, chunksize, deadline)
+        finally:
+            with self._lock:
+                self._map_owner = None
+                self._map_idle.set()
+
+    def _map(self, fn, items: list, chunksize: int, deadline) -> list:
+        n = len(items)
         if deadline is None:
             deadline = self.map_deadline
         deadline_at = (
@@ -558,6 +618,7 @@ class SupervisedPool:
                     if waitables
                     else []
                 )
+                self._check_open()  # close() from another thread
                 now = time.monotonic()
                 handled: set[int] = set()
                 for obj in ready:

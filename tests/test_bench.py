@@ -3,6 +3,7 @@ serving workload."""
 
 from __future__ import annotations
 
+import math
 import pathlib
 import re
 import shlex
@@ -66,3 +67,27 @@ def test_tape_cost_reports_a_ratio_per_shape():
         stem = f"tape_cost_{shape}"
         cost = t[stem + "_record_s"]["median"] + t[stem + "_replay_s"]["median"]
         assert ratio == round(cost / t[stem + "_scalar_s"]["median"], 2)
+
+
+def test_shard_cost_reports_a_size_per_backend():
+    # The pool is built inside the entry, so it forks even under CI's
+    # REPRO_SWEEP_WORKERS=1.
+    report = bench.run_all(smoke=True, reps=1, only="shard_cost")
+    sc = report["shard_cost"]
+    shapes = ["bcast_p16", "bcast_p4", "bcast_p8", "flood_k12", "flood_k4"]
+    assert sorted(sc["r_ms"]) == sorted(sc["c_us"]) == shapes
+    t = report["timings_s"]
+    r_ms, c_us = {}, {}
+    for shape in shapes:
+        stem = f"shard_cost_{shape}"
+        sizes = (1, 32, 256) if shape.startswith("bcast") else (1, 8)
+        med = {m: t[f"{stem}_{m}_s"]["median"] for m in sizes}
+        r_ms[shape] = (t[f"{stem}_pool_s"]["median"] - med[1]) * 1e3
+        lo, hi = sizes[-2:]
+        c_us[shape] = (med[hi] - med[lo]) / (hi - lo) * 1e6
+        assert sc["r_ms"][shape] == round(r_ms[shape], 4)
+        assert sc["c_us"][shape] == round(c_us[shape], 2)
+    cheapest = min(shapes, key=lambda n: t[f"shard_cost_{n}_1_s"]["median"])
+    for cls, prefix in (("compiled", "bcast"), ("machine", "flood")):
+        c = min(v for n, v in c_us.items() if n.startswith(prefix))
+        assert sc["shard_points"][cls] == math.ceil(r_ms[cheapest] * 1e3 / c)

@@ -150,6 +150,101 @@ class TestServedVsSerialDeterminism:
         assert served == direct
 
 
+class TestPooledServing:
+    """Batches served on a 2-worker ``SupervisedPool``.  ``workers=2`` is
+    explicit: under CI's ``REPRO_SWEEP_WORKERS=1`` a default server
+    starts no pool."""
+
+    def test_every_batch_kind_is_served_on_the_pool(self, monkeypatch):
+        from repro.serve import server as server_mod
+        from repro.serve.server import build_latency, canonical_latency
+        from repro.sim.supervise import SupervisedPool
+
+        S = server_mod._SHARD_COMPILED
+        S_machine = server_mod._SHARD_MACHINE
+        maps = []  # items (shards) per SupervisedPool.map call
+        real_map = SupervisedPool.map
+
+        def spy(self, fn, items, *args, **kwargs):
+            maps.append(len(items))
+            return real_map(self, fn, items, *args, **kwargs)
+
+        monkeypatch.setattr(SupervisedPool, "map", spy)
+
+        def o_sweep(n, Ps, L=6.0):
+            per = -(-n // len(Ps))
+            return [
+                LogPParams(L=L, o=0.5 + 4.0 * i / per, g=4.0, P=P)
+                for P in Ps
+                for i in range(per)
+            ][:n]
+
+        box = [
+            LogPParams(
+                L=1.0 + (i % 10) * 1.37, o=0.5 + (i // 10 % 5) * 0.61,
+                g=0.5 + (i // 50) * 0.25, P=6,
+            )
+            for i in range(2 * S)
+        ]
+        jitter = {"kind": "jittered", "L": 6.0, "scale_frac": 0.1, "seed": 11}
+        halves = o_sweep(2 * S, (4,), L=7.0)
+        # (case, requests submitted together, shards per map call).
+        table = [
+            ("mixed-P o-sweep", [
+                ("bcast_tree", o_sweep(2 * S, (2, 4, 8)), {"k": 6}, "auto",
+                 None),
+            ], [2]),
+            ("scalar-heavy stream", [
+                ("stream", box, {"k": 16}, "auto", None),
+            ], [2]),
+            ("jittered latency", [
+                ("bcast_tree", o_sweep(2 * S, (8,)), {"k": 7}, "compiled",
+                 jitter),
+            ], [2]),
+            ("machine flood", [
+                ("flood", [
+                    LogPParams(L=8.0 + i, o=1.0, g=4.0, P=8)
+                    for i in range(2 * S_machine)
+                ], {"k": 6}, "machine", None),
+            ], [2]),
+            ("two coalescing jobs", [
+                ("bcast_tree", halves[:S], {"k": 5}, "auto", None),
+                ("bcast_tree", halves[S:], {"k": 5}, "auto", None),
+            ], [2]),
+            ("one point short of two shards", [
+                ("bcast_tree", o_sweep(2 * S - 1, (4,), L=9.0), {"k": 6},
+                 "compiled", None),
+            ], []),
+        ]
+
+        async def run():
+            config = ServeConfig(workers=2, batch_window=0.0)
+            async with SimulationServer(config) as server:
+                for case, requests, shards in table:
+                    first = len(maps)
+                    jobs = [
+                        await server.submit(SweepRequest.make(
+                            program, pts, args=args, backend=backend,
+                            latency=latency,
+                        ))
+                        for program, pts, args, backend, latency in requests
+                    ]
+                    for job, (program, pts, args, backend, latency) in zip(
+                        jobs, requests
+                    ):
+                        direct = grid_map(
+                            build(program, args, None), pts, backend=backend,
+                            latency=build_latency(canonical_latency(latency)),
+                        )
+                        assert await job.wait() == direct, case
+                    assert maps[first:] == shards, case
+                return server.stats_snapshot()
+
+        stats = _serve(run())
+        assert stats["batches"] == len(table)
+        assert stats["sharded_batches"] == len(table) - 1
+
+
 class TestDedupAndProgress:
     def test_identical_concurrent_jobs_compute_once(self):
         async def run():
@@ -421,6 +516,59 @@ class TestGracefulShutdown:
                 await job.wait()
 
         _serve(run())
+
+    def test_abandon_during_a_pool_map_leaves_no_worker(self, monkeypatch):
+        """``aclose(drain=False)`` while a batch runs on the pool: the
+        job fails with ``ServerShutdown``, and the map, which sees its
+        workers killed, forks no replacement that outlives the server."""
+        import multiprocessing
+        import threading
+        import time
+
+        from repro.serve import ServerShutdown
+        from repro.sim.supervise import SupervisedPool
+
+        mapping = threading.Event()
+        real_map = SupervisedPool.map
+
+        def spy(self, *args, **kwargs):
+            mapping.set()
+            return real_map(self, *args, **kwargs)
+
+        monkeypatch.setattr(SupervisedPool, "map", spy)
+        before = {p.pid for p in multiprocessing.active_children()}
+        # 1,024 machine points: seconds of work for the two workers, so
+        # the close lands while the map runs.
+        points = [
+            LogPParams(L=4.0 + 0.01 * i, o=1.0, g=4.0, P=8)
+            for i in range(1024)
+        ]
+
+        async def run():
+            server = await SimulationServer(
+                ServeConfig(workers=2, batch_window=0.0)
+            ).start()
+            job = await server.submit(
+                SweepRequest.make(
+                    "flood", points, args={"k": 16}, backend="machine"
+                )
+            )
+            while not (mapping.is_set() and server._pool.started):
+                await asyncio.sleep(0.005)
+            await server.aclose(drain=False)
+            with pytest.raises(ServerShutdown):
+                await job.wait()
+
+        _serve(run())
+        deadline = time.monotonic() + 5.0
+        while True:
+            left = {
+                p.pid for p in multiprocessing.active_children()
+            } - before
+            if not left or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        assert not left, f"pool processes {sorted(left)} outlived the server"
 
     def test_close_is_an_alias(self):
         from repro.serve import ServerShutdown

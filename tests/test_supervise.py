@@ -15,15 +15,19 @@ The contract under test, in increasing order of violence:
 * ordinary exceptions are *not* retried — they propagate immediately,
   exactly as the serial loop would raise them;
 * ``close(drain=True)`` joins workers cleanly; ``drain=False`` kills,
-  and so does leaving a ``with`` block (or ``sweep_map``) on Ctrl-C.
+  and so does leaving a ``with`` block (or ``sweep_map``) on Ctrl-C;
+* ``close()`` from another thread aborts a running map with
+  :class:`PoolClosedError`, and no worker outlives it.
 
 Timing assertions carry generous slack: CI runs this on one busy core.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
+import threading
 import time
 from functools import partial
 
@@ -31,6 +35,7 @@ import pytest
 
 from repro.sim.supervise import (
     PoisonItemError,
+    PoolClosedError,
     SupervisedPool,
     SweepDeadlineError,
     WorkerRestartStorm,
@@ -364,3 +369,83 @@ class TestTeardown:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - t0 < 4.0
+
+
+class TestCloseWhileMapping:
+    """``close()`` from one thread while ``map`` runs in another: the
+    server's ``aclose`` against its batcher's worker thread."""
+
+    def _map_in_thread(self, pool, items):
+        caught = []
+
+        def run():
+            try:
+                pool.map(partial(_sleep_for, 0.5), items)
+            except BaseException as exc:  # noqa: BLE001 - inspected below
+                caught.append(exc)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        while not pool.started:
+            time.sleep(0.005)
+        return thread, caught
+
+    def test_close_aborts_the_map_and_leaves_no_worker(self):
+        before = {p.pid for p in multiprocessing.active_children()}
+        pool = _fast_pool(2)
+        thread, caught = self._map_in_thread(pool, list(range(8)))
+        t0 = time.monotonic()
+        pool.close()  # drain requested: a running map is killed anyway
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert time.monotonic() - t0 < 4.0  # did not drain 8 x 0.5 s
+        [exc] = caught
+        assert isinstance(exc, PoolClosedError)
+        assert not pool.started
+        assert {p.pid for p in multiprocessing.active_children()} <= before
+        with pytest.raises(PoolClosedError):
+            pool.map(_square, [1])
+
+    def test_one_map_at_a_time(self):
+        with _fast_pool(2) as pool:
+            thread, caught = self._map_in_thread(pool, [1, 2])
+            with pytest.raises(RuntimeError, match="one map at a time"):
+                pool.map(_square, [1])
+            thread.join(timeout=5.0)
+            assert not thread.is_alive() and caught == []
+
+    def test_close_races_a_map_at_random_points(self):
+        # More workers than cores and a short switch interval, so the
+        # close lands anywhere in the map: while workers start, while
+        # chunks run, while dead workers are being replaced.
+        import random
+        import sys
+
+        rng = random.Random(7)
+        before = {p.pid for p in multiprocessing.active_children()}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(12):
+                pool = _fast_pool(3)
+                out, caught = [], []
+
+                def run():
+                    try:
+                        out.append(pool.map(partial(_sleep_for, 0.005),
+                                            list(range(12))))
+                    except PoolClosedError as exc:
+                        caught.append(exc)
+
+                thread = threading.Thread(target=run)
+                thread.start()
+                time.sleep(rng.uniform(0.0, 0.06))
+                pool.close(drain=rng.random() < 0.5)
+                thread.join(timeout=5.0)
+                assert not thread.is_alive()
+                # Either the map finished first or the close aborted it.
+                assert out == [list(range(12))] or len(caught) == 1
+                assert not pool.started
+        finally:
+            sys.setswitchinterval(interval)
+        assert {p.pid for p in multiprocessing.active_children()} <= before
