@@ -654,17 +654,17 @@ def _tape_cost_shapes() -> list:
                    g=0.5, P=6)
         for i in range(50)
     ]
-    ops = _grid_ops(compile_programs(stream, 6), pts, None, None, None, 32, core)
+    ops = _grid_ops(compile_programs(stream, 6), pts, None, None, None, core)
     shapes.append(("stream_p6", ops, range(len(pts))))
     pts = [LogPParams(L=6.0, o=0.25 + 7.75 * i / 127, g=4.0, P=8)
            for i in range(128)]
-    ops = _grid_ops(compile_programs(bcast, 8), pts, None, None, None, 32, core)
+    ops = _grid_ops(compile_programs(bcast, 8), pts, None, None, None, core)
     shapes.append(("bcast_osweep_p8", ops, range(len(pts))))
     pts = [LogPParams(L=6.0, o=1.0 + 0.75 * i, g=4.0, P=8) for i in range(4)]
     ops, (drawn, _fixed) = _seed_grid_ops(
         compile_programs(bcast, 8), pts, list(range(10)),
         lambda p, s: JitteredLatency(6.0, scale_frac=0.25, seed=s),
-        None, 32, core,
+        None, core,
     )
     shapes.append(("jitter_seeds_p8", ops, drawn))
     for P in (64, 2048):
@@ -672,9 +672,7 @@ def _tape_cost_shapes() -> list:
             pipelined_broadcast_program(binomial_tree(P), [0]), P
         ))
         pts = [LogPParams(L=4.0 + i, o=2.0, g=4.0, P=P) for i in range(16)]
-        ops = _folded_grid_ops(
-            folded, pts, None, None, True, None, 0.0, None, 32
-        )
+        ops = _folded_grid_ops(folded, pts, None, None, True, None, 0.0, None)
         shapes.append((f"fold_p{P}", ops, range(len(pts))))
     return shapes
 

@@ -78,7 +78,7 @@ from .supervise import (
     SweepDeadlineError,
     WorkerRestartStorm,
 )
-from .sweep import SweepShortfallError, resolve_workers, sweep_map
+from .sweep import resolve_workers, sweep_map
 from .trace import (
     CrashEvent,
     FaultReport,
@@ -191,7 +191,6 @@ __all__ = [
     "LossyOutcome",
     "sweep_map",
     "resolve_workers",
-    "SweepShortfallError",
     "SupervisedPool",
     "PoisonItemError",
     "SweepDeadlineError",

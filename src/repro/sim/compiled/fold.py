@@ -974,7 +974,6 @@ def evaluate_folded_grid(
     hw_barrier_cost: float = 0.0,
     compute_jitter=None,
     max_events: int = 0,
-    max_tapes: int = 32,
 ) -> GridResult:
     """Evaluate a folded program at every point of an ``(L, o, g)`` grid.
 
@@ -982,10 +981,9 @@ def evaluate_folded_grid(
     Θ(C) tape per control-flow region, replay it vectorized over the
     remaining points, scalar-fold stragglers.  Values are exactly the
     unfolded compiled path's (and the machine's) under the
-    dyadic-exactness guard.  ``max_tapes`` is an upper bound on the
-    recordings: the yield rule of :func:`.grid._cover` may stop
-    earlier, and ``GridResult.stop_reason`` says which stop
-    applied.
+    dyadic-exactness guard.  The tape budget and the yield rule of
+    :func:`.grid._cover` bound the recordings, and
+    ``GridResult.stop_reason`` says which stop applied.
 
     Points that cannot be folded at their own parameters — a capacity
     stall at a recording reference — are returned *unfilled* in
@@ -999,13 +997,13 @@ def evaluate_folded_grid(
         return GridResult([], [], 0, 0, folded=True, classes=folded.n_classes)
     ops = _folded_grid_ops(
         folded, pts, latency, fabric, enforce_capacity, capacity,
-        hw_barrier_cost, compute_jitter, max_tapes,
+        hw_barrier_cost, compute_jitter,
     )
     n = len(pts)
     makespans = [0.0] * n
     stalls = [0.0] * n
     tapes, fallbacks, divergent, stop = _cover(
-        range(n), makespans, stalls, max_tapes, ops
+        range(n), makespans, stalls, ops
     )
     divergent.sort()
     return GridResult(
@@ -1022,7 +1020,7 @@ def evaluate_folded_grid(
 
 def _folded_grid_ops(
     folded: FoldedProgram, pts: list, latency, fabric, enforce_capacity,
-    capacity, hw_barrier_cost, compute_jitter, max_tapes: int,
+    capacity, hw_barrier_cost, compute_jitter,
 ) -> _CoverOps:
     """Validate :func:`evaluate_folded_grid`'s arguments and return its
     :class:`.grid._CoverOps`: column ``i`` is ``pts[i]``."""
@@ -1030,8 +1028,6 @@ def _folded_grid_ops(
         raise ValueError(
             f"hw_barrier_cost must be >= 0, got {hw_barrier_cost}"
         )
-    if max_tapes < 0:
-        raise ValueError(f"max_tapes must be >= 0, got {max_tapes}")
     for p in pts:
         if p.P != folded.P:
             raise ValueError(

@@ -46,7 +46,7 @@ module exploits that:
 3. **Re-reference, while tapes pay.**  Points that violate a
    constraint lie in a different control-flow region: the first such
    point becomes the next recording reference.  Recording stops at the
-   ``max_tapes`` budget, or earlier by the *yield rule*: once the last
+   ``_MAX_TAPES`` budget, or earlier by the *yield rule*: once the last
    ``_YIELD_WINDOW`` tapes together covered fewer than
    ``_YIELD_WINDOW * _BREAK_EVEN`` points, a further tape is not
    expected to pay for its recording, so every uncovered point falls
@@ -662,6 +662,11 @@ def _replay(tape: _Tape, arrs, caps):
 #: same tapes.  ``_BREAK_EVEN = 0`` switches the rule off.
 _YIELD_WINDOW = 3
 _BREAK_EVEN = 5
+#: The tape budget: :func:`_cover` records at most this many tapes per
+#: grid, even while they pay (``stop_reason`` ``"max_tapes"``), and
+#: :func:`evaluate_forked` lowers at most this many forks before it
+#: recompiles the remaining points one by one.
+_MAX_TAPES = 32
 
 
 @dataclass(frozen=True, slots=True)
@@ -682,14 +687,15 @@ class _CoverOps:
 
 
 def _cover(
-    columns, makespans: list, stalls: list, max_tapes: int, ops: _CoverOps
+    columns, makespans: list, stalls: list, ops: _CoverOps, spent: int = 0
 ) -> tuple[int, int, list, str]:
     """Fill ``columns`` by record → replay → keep uncovered → fallback.
 
     The first uncovered column is the recording reference; its tape is
     replayed over the rest, and columns violating a constraint stay
     uncovered for the next reference.  Before each further recording
-    it checks two stops, in order: the ``max_tapes`` budget,
+    it checks two stops, in order: the ``_MAX_TAPES`` budget (less the
+    ``spent`` tapes an earlier column group of the grid recorded),
     then the yield rule — if the last ``_YIELD_WINDOW`` tapes together
     covered fewer than ``_YIELD_WINDOW * _BREAK_EVEN`` columns (their
     references included), recording stops.  Either way the uncovered
@@ -716,7 +722,7 @@ def _cover(
     divergent: list = []
     stop = "covered"
     while remaining:
-        if len(yields) >= max_tapes:
+        if spent + len(yields) >= _MAX_TAPES:
             stop = "max_tapes"
             break
         if len(yields) >= _YIELD_WINDOW:
@@ -770,14 +776,12 @@ def _recordable(timing: tuple) -> tuple:
     return timing
 
 
-def _validate_grid(compiled, pts, hw_barrier_cost, max_tapes, capacity):
+def _validate_grid(compiled, pts, hw_barrier_cost, capacity):
     """Shared grid validation; returns per-point effective capacities."""
     if hw_barrier_cost < 0:
         raise ValueError(
             f"hw_barrier_cost must be >= 0, got {hw_barrier_cost}"
         )
-    if max_tapes < 0:
-        raise ValueError(f"max_tapes must be >= 0, got {max_tapes}")
     for p in pts:
         if p.P != compiled.P:
             raise ValueError(
@@ -827,7 +831,6 @@ def evaluate_grid(
     hw_barrier_cost: float = 0.0,
     compute_jitter: Callable[[int, float], float] | None = None,
     max_events: int = 50_000_000,
-    max_tapes: int = 32,
 ) -> GridResult:
     """Evaluate one compiled program at every parameter point in ``grid``.
 
@@ -835,10 +838,10 @@ def evaluate_grid(
     :func:`.evaluator.evaluate` (and therefore the machine) produces
     there — vectorization changes cost, never values.  Points are
     covered by recorded control-flow regions; uncovered stragglers run
-    the scalar evaluator.  ``max_tapes`` is an upper bound on the
-    recordings: the yield rule (:func:`_cover`) stops earlier once
-    recent tapes cover too few points to pay, and
-    ``GridResult.stop_reason`` says which stop applied.
+    the scalar evaluator.  ``_MAX_TAPES`` bounds the recordings: the
+    yield rule (:func:`_cover`) stops earlier once recent tapes cover
+    too few points to pay, and ``GridResult.stop_reason`` says which
+    stop applied.
 
     Args:
         compiled: output of :func:`compile_programs`.
@@ -864,7 +867,7 @@ def evaluate_grid(
     if not pts:
         return GridResult([], [], 0, 0)
     ops = _grid_ops(
-        compiled, pts, latency, fabric, capacity, max_tapes,
+        compiled, pts, latency, fabric, capacity,
         dict(
             enforce_capacity=enforce_capacity,
             hw_barrier_cost=hw_barrier_cost,
@@ -876,7 +879,7 @@ def evaluate_grid(
     makespans = [0.0] * n
     stalls = [0.0] * n
     tapes, fallbacks, divergent, stop = _cover(
-        range(n), makespans, stalls, max_tapes, ops
+        range(n), makespans, stalls, ops
     )
     divergent.sort()
     return GridResult(
@@ -885,15 +888,13 @@ def evaluate_grid(
 
 
 def _grid_ops(
-    compiled, pts: list, latency, fabric, capacity, max_tapes: int, core: dict
+    compiled, pts: list, latency, fabric, capacity, core: dict
 ) -> _CoverOps:
     """Validate :func:`evaluate_grid`'s arguments and return its
     :class:`_CoverOps`: column ``i`` is ``pts[i]``.  ``core`` holds the
     remaining keyword arguments, passed to every recording and
     fallback."""
-    caps = _validate_grid(
-        compiled, pts, core["hw_barrier_cost"], max_tapes, capacity
-    )
+    caps = _validate_grid(compiled, pts, core["hw_barrier_cost"], capacity)
     timing = _recordable(_resolve_timing(pts, None, latency, fabric))
     if timing[0] in ("draw", "fabric"):
         timing[1].reset()
@@ -941,7 +942,6 @@ def evaluate_seed_grid(
     hw_barrier_cost: float = 0.0,
     compute_jitter: Callable[[int, float], float] | None = None,
     max_events: int = 50_000_000,
-    max_tapes: int = 32,
 ) -> SeedGridResult:
     """Evaluate a compiled program over a (point x seed) product grid.
 
@@ -966,7 +966,7 @@ def evaluate_seed_grid(
     ``FixedLatency`` columns take the machine's fixed fast path (a
     different float ordering than drawn flights), so they share tapes
     only with each other; mixed factories are handled by partitioning.
-    The two column groups share the ``max_tapes`` budget, an upper
+    The two column groups share the ``_MAX_TAPES`` budget, an upper
     bound: each group's recording may stop earlier by the yield rule
     (:func:`_cover`).
     """
@@ -978,7 +978,7 @@ def evaluate_seed_grid(
     if ncols == 0:
         return SeedGridResult([], [], npts, nseeds, 0, 0)
     ops, groups = _seed_grid_ops(
-        compiled, pts, seed_list, latency_factory, capacity, max_tapes,
+        compiled, pts, seed_list, latency_factory, capacity,
         dict(
             enforce_capacity=enforce_capacity,
             hw_barrier_cost=hw_barrier_cost,
@@ -993,9 +993,7 @@ def evaluate_seed_grid(
     divergent: list[int] = []
     stops = []
     for group in groups:
-        t, f, d, stop = _cover(
-            group, makespans, stalls, max_tapes - tapes, ops
-        )
+        t, f, d, stop = _cover(group, makespans, stalls, ops, tapes)
         tapes += t
         fallbacks += f
         divergent += d
@@ -1014,15 +1012,13 @@ def _first_early_stop(stops: list) -> str:
 
 def _seed_grid_ops(
     compiled, pts: list, seed_list: list, latency_factory, capacity,
-    max_tapes: int, core: dict,
+    core: dict,
 ) -> tuple[_CoverOps, tuple[list, list]]:
     """Validate :func:`evaluate_seed_grid`'s arguments and return its
     :class:`_CoverOps` (column ``p * len(seed_list) + s``) with the
     drawn and the fixed-latency column groups."""
     nseeds = len(seed_list)
-    caps = _validate_grid(
-        compiled, pts, core["hw_barrier_cost"], max_tapes, capacity
-    )
+    caps = _validate_grid(compiled, pts, core["hw_barrier_cost"], capacity)
     models = []
     timings = []
     for p in pts:
@@ -1103,8 +1099,6 @@ def evaluate_forked(
     hw_barrier_cost: float = 0.0,
     compute_jitter: Callable[[int, float], float] | None = None,
     max_events: int = 50_000_000,
-    max_tapes: int = 32,
-    max_forks: int | None = None,
 ) -> GridResult:
     """Branch-splitting grid evaluation of a timing-dependent program.
 
@@ -1115,8 +1109,8 @@ def evaluate_forked(
     ``OP_NOW`` equality constraints admit exactly the points sharing
     its branch decisions — and re-fork on the divergent rest.  Each
     fork resolves at least its own reference point, so the loop
-    terminates; after ``max_forks`` regions (default: the ``max_tapes``
-    budget) stragglers get an exact per-point recompile.  Each fork's
+    terminates; after ``_MAX_TAPES`` forks stragglers get an exact
+    per-point recompile.  Each fork's
     grid records under :func:`evaluate_grid`'s rules, the yield rule
     included; ``stop_reason`` is the first fork's early stop, if any.
     Results are bit-identical to the machine everywhere, and a program
@@ -1131,8 +1125,6 @@ def evaluate_forked(
     n = len(pts)
     if n == 0:
         return GridResult([], [], 0, 0)
-    if max_forks is None:
-        max_forks = max_tapes
     makespans = [0.0] * n
     stalls = [0.0] * n
     remaining = list(range(n))
@@ -1140,7 +1132,7 @@ def evaluate_forked(
     fallbacks = 0
     forks = 0
     stops = []
-    while remaining and forks < max_forks:
+    while remaining and forks < _MAX_TAPES:
         ref = remaining[0]
         compiled = compile_at(
             programs,
@@ -1165,7 +1157,6 @@ def evaluate_forked(
             hw_barrier_cost=hw_barrier_cost,
             compute_jitter=compute_jitter,
             max_events=max_events,
-            max_tapes=max_tapes,
         )
         tapes += gr.tapes
         fallbacks += gr.fallbacks

@@ -36,15 +36,13 @@ asynchronously from a supervision loop:
 * **Quarantine.**  A singleton item that has killed its worker
   ``max_attempts`` times (or exhausted the policy's budget) is
   quarantined, and the sweep fails with a structured
-  :class:`PoisonItemError` naming the item — deterministically the
-  *lowest* quarantined submission index, for any worker count, matching
-  :class:`~repro.sim.sweep.SweepItemError`'s lowest-index contract.
-  Items below the poison index still run to completion first, so the
-  raised index never depends on scheduling order.
+  :class:`PoisonItemError` naming the item (see *One failure story*
+  below for which failure is raised).
 * **Deadline.**  ``map(..., deadline=...)`` (or the pool-wide
-  ``map_deadline``) bounds the whole call: on expiry every worker is
-  killed and :class:`SweepDeadlineError` names the unresolved item
-  count — a supervised sweep never hangs past its deadline.
+  ``map_deadline``) bounds the whole call: on expiry the workers of
+  the chunks in flight are killed and :class:`SweepDeadlineError`
+  names the unresolved item count — a supervised sweep never hangs
+  past its deadline.
 * **Close from any thread.**  One ``map`` runs at a time, and
   ``close()`` may come from another thread while it runs (the server
   maps in a worker thread and closes from its event loop).  The close
@@ -62,13 +60,25 @@ dispatches through (``workers`` / ``started`` / ``map`` / ``close``);
 leaving a ``with`` block on an exception closes it without draining,
 so Ctrl-C on a sweep does not wait for in-flight chunks.
 
-What is *not* retried: an ordinary Python exception raised by ``fn``
-crosses the pipe and fails the call immediately (exceptions are
-deterministic — retrying one is wasted work); under ``sweep_map`` the
-guarded wrapper converts those into indexed
-:class:`~repro.sim.sweep.SweepItemError` failures exactly as before.
-Only worker *death* — the nondeterministic, infrastructure-level
-failure — enters the retry/quarantine path.
+What is *not* retried: an ordinary Python exception raised by ``fn``.
+Exceptions are deterministic, so retrying one is wasted work; only
+worker *death* — the nondeterministic, infrastructure-level failure —
+enters the retry/quarantine path.  The worker sends back the results it
+finished in that chunk together with the exception, and stays alive.
+
+**One failure story.**  An exception and a quarantine land in one table
+keyed by submission index, and the lowest index wins.  Once an item
+has failed, the map dispatches nothing at or above the lowest failed
+index, waits for everything below it, then raises: a poison item as
+:class:`PoisonItemError`, any other failure as the original exception
+chained from a :class:`~repro.sim.sweep.SweepItemError` naming the
+index.  The raised index is therefore the first one the serial loop
+``[fn(x) for x in items]`` fails at, for any worker count, chunk size
+or completion order.  Whatever makes ``map`` raise — a failure, the
+deadline, a restart storm, Ctrl-C, an item that cannot be pickled —
+the chunks still in flight are abandoned: their workers are killed and
+replaced, so no stale reply reaches the next map.  A map that raises
+with nothing in flight restarts no worker.
 """
 
 from __future__ import annotations
@@ -81,7 +91,7 @@ import multiprocessing
 from multiprocessing import connection as mp_connection
 
 from .faults import ExponentialBackoffRetry, RetryPolicy
-from .sweep import resolve_workers
+from .sweep import SweepItemError, _shown, resolve_workers
 
 __all__ = [
     "PoisonItemError",
@@ -91,16 +101,14 @@ __all__ = [
     "WorkerRestartStorm",
 ]
 
-_OK = "ok"
-_EXC = "exc"
 _MISSING = object()
 
 
 class PoisonItemError(RuntimeError):
     """A sweep item repeatedly killed its worker and was quarantined.
 
-    ``index`` is the submission index (deterministically the lowest
-    quarantined one), ``attempts`` how many workers it killed before
+    ``index`` is the submission index (raised only when no lower index
+    failed), ``attempts`` how many workers it killed before
     quarantine.  The item's ``repr`` is embedded in the message so logs
     name the poison input, not just its position.
     """
@@ -116,7 +124,7 @@ class PoisonItemError(RuntimeError):
 
 
 class SweepDeadlineError(RuntimeError):
-    """A supervised ``map`` exceeded its deadline; all workers killed.
+    """A supervised ``map`` exceeded its deadline; its busy workers killed.
 
     ``pending`` counts the items that never produced a result.  Raised
     instead of hanging — the point of the deadline.
@@ -125,7 +133,7 @@ class SweepDeadlineError(RuntimeError):
     def __init__(self, deadline: float, pending: int, total: int):
         super().__init__(
             f"supervised sweep missed its {deadline}s deadline with "
-            f"{pending} of {total} item(s) unresolved; workers killed"
+            f"{pending} of {total} item(s) unresolved; busy workers killed"
         )
         self.deadline = deadline
         self.pending = pending
@@ -151,10 +159,12 @@ class WorkerRestartStorm(RuntimeError):
 def _supervised_worker(conn) -> None:
     """Child main loop: recv ``(chunk_id, fn, items)``, send results.
 
-    An ordinary exception from ``fn`` is shipped back as an ``exc``
-    frame (downgraded to a picklable ``RuntimeError`` if needed) — the
-    worker survives and takes the next chunk.  Only process death ends
-    the loop, which is exactly what the parent's sentinel watch is for.
+    Replies ``(chunk_id, results, exc)``: the results of the items
+    before the first one that raised, and that exception (``None`` if
+    none raised; downgraded to a picklable ``RuntimeError`` if needed).
+    The worker survives an exception and takes the next chunk.  Only
+    process death ends the loop, which is exactly what the parent's
+    sentinel watch is for.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
@@ -165,36 +175,37 @@ def _supervised_worker(conn) -> None:
         if task is None:
             return
         chunk_id, fn, items = task
+        out, exc = [], None
         try:
-            out = [fn(item) for item in items]
-        except BaseException as exc:  # noqa: BLE001 - shipped to the parent
+            for item in items:
+                out.append(fn(item))
+        except BaseException as err:  # noqa: BLE001 - shipped to the parent
+            exc = err
             try:
                 pickle.loads(pickle.dumps(exc))
             except Exception:  # noqa: BLE001 - unpicklable exception
                 exc = RuntimeError(
                     f"unpicklable worker exception "
-                    f"{type(exc).__name__}: {exc!r}"
+                    f"{type(err).__name__}: {err!r}"
                 )
-            try:
-                conn.send((chunk_id, _EXC, exc))
-            except (EOFError, OSError, BrokenPipeError):
-                return
-            continue
         try:
-            conn.send((chunk_id, _OK, out))
-        except (EOFError, OSError, BrokenPipeError):
+            conn.send((chunk_id, out, exc))
+        except (EOFError, OSError):
             return
-        except Exception as exc:  # noqa: BLE001 - unpicklable result
-            conn.send(
-                (
-                    chunk_id,
-                    _EXC,
-                    RuntimeError(
-                        f"unpicklable worker result for chunk {chunk_id}: "
-                        f"{type(exc).__name__}: {exc!r}"
-                    ),
-                )
+        except Exception as err:  # noqa: BLE001 - unpicklable result
+            # Blame the first result that cannot cross the pipe, so the
+            # failure's index does not depend on the chunk size.
+            ok = 0
+            for val in out:
+                try:
+                    pickle.dumps(val)
+                except Exception:  # noqa: BLE001 - this is the one
+                    break
+                ok += 1
+            exc = RuntimeError(
+                f"unpicklable worker result {type(err).__name__}: {err!r}"
             )
+            conn.send((chunk_id, out[:ok], exc))
 
 
 class _Chunk:
@@ -219,13 +230,6 @@ class _WorkerHandle:
         self.conn = conn
         self.chunk = None  # the in-flight _Chunk, if any
         self.since = 0.0  # monotonic dispatch time of that chunk
-
-
-class _MapFailed(Exception):
-    """Internal control flow: a worker shipped an ordinary exception."""
-
-    def __init__(self, original: BaseException):
-        self.original = original
 
 
 class SupervisedPool:
@@ -442,6 +446,12 @@ class SupervisedPool:
             self._map_idle.clear()
         try:
             return self._map(fn, items, chunksize, deadline)
+        except BaseException:
+            # Abandon the chunks still in flight, unless a close() has
+            # killed their workers already.
+            if not self._closed:
+                self._fail_inflight()
+            raise
         finally:
             with self._lock:
                 self._map_owner = None
@@ -464,7 +474,9 @@ class SupervisedPool:
             )
             self._next_cid += 1
         results: list = [_MISSING] * n
-        quarantined: dict[int, int] = {}  # index -> attempts at quarantine
+        #: Submission index -> what the map raises for it: the exception
+        #: ``fn`` raised there, or a quarantined item's PoisonItemError.
+        failed: dict[int, BaseException] = {}
         death_budget = (
             self.death_budget
             if self.death_budget is not None
@@ -480,33 +492,29 @@ class SupervisedPool:
                 for h in self._handles
             )
 
-        def schedule(cid, lo, hi, attempts, spent, now) -> None:
-            # One retry step for an orphaned slice: quarantine at the
-            # attempt cap or on budget exhaustion, else backoff-gate it.
-            if hi - lo == 1 and attempts >= self.max_attempts:
-                quarantined[lo] = attempts
-                return
-            d = self.retry.next_delay(attempts, lo, spent=spent)
-            if d is None:
-                if hi - lo == 1:
-                    quarantined[lo] = attempts
-                    return
-                d = 0.0  # multi-item slices always retry (split below)
-            queue.append(
-                _Chunk(cid, lo, hi, attempts, now + d, spent + d)
-            )
-
         def orphan(c: _Chunk, now: float) -> None:
+            # Retry each item of the dead worker's chunk on its own, so
+            # blame lands on exactly one item and innocents retry
+            # without inheriting its fate beyond this shared death.
+            # Quarantine at the attempt cap or on budget exhaustion,
+            # else backoff-gate the retry.
             attempts = c.attempts + 1
-            if c.hi - c.lo > 1:
-                # Split to singletons: blame lands on exactly one item
-                # and innocents retry without inheriting its fate beyond
-                # this shared death.
-                for i in range(c.lo, c.hi):
-                    schedule(self._next_cid, i, i + 1, attempts, c.spent, now)
-                    self._next_cid += 1
-            else:
-                schedule(c.cid, c.lo, c.hi, attempts, c.spent, now)
+            for i in range(c.lo, c.hi):
+                d = None
+                if attempts < self.max_attempts:
+                    d = self.retry.next_delay(attempts, i, spent=c.spent)
+                if d is None:
+                    failed[i] = PoisonItemError(
+                        i, n, attempts, repr(items[i])[:200]
+                    )
+                    continue
+                queue.append(
+                    _Chunk(
+                        self._next_cid, i, i + 1, attempts, now + d,
+                        c.spent + d,
+                    )
+                )
+                self._next_cid += 1
 
         def on_death(h: _WorkerHandle, now: float) -> None:
             self.deaths += 1
@@ -515,7 +523,6 @@ class SupervisedPool:
                 orphan(c, now)
             self._replace(h)
             if self.deaths - deaths_at_start > death_budget:
-                self._fail_inflight()
                 raise WorkerRestartStorm(
                     f"{self.deaths - deaths_at_start} worker deaths for a "
                     f"{n}-item sweep (budget {death_budget}); the "
@@ -524,144 +531,129 @@ class SupervisedPool:
                 )
 
         def on_message(h: _WorkerHandle, msg) -> None:
-            cid, kind, payload = msg
+            cid, out, exc = msg
             c = h.chunk
             if c is None or c.cid != cid:
                 return  # stale frame from an abandoned dispatch
             h.chunk = None
-            if kind == _EXC:
-                raise _MapFailed(payload)
-            for off, val in enumerate(payload):
+            for off, val in enumerate(out):
                 results[c.lo + off] = val
+            if exc is not None:
+                failed[c.lo + len(out)] = exc
 
-        try:
-            while True:
-                qmin = min(quarantined) if quarantined else None
-                if qmin is not None:
-                    # Results at/above the poison index will never be
-                    # returned; drop their queued work and, once every
-                    # item below the poison index has resolved, raise.
-                    queue = [c for c in queue if c.lo < qmin]
-                    if not outstanding_below(qmin):
-                        self._fail_inflight()
-                        raise PoisonItemError(
-                            qmin, n, quarantined[qmin],
-                            repr(items[qmin])[:200],
-                        )
-                elif not queue and all(
-                    h.chunk is None for h in self._handles
-                ):
+        while True:
+            if failed:
+                # Results at/above the lowest failed index will never be
+                # returned; drop their queued work and, once every item
+                # below that index has resolved, raise.
+                low = min(failed)
+                queue = [c for c in queue if c.lo < low]
+                if not outstanding_below(low):
+                    err = failed[low]
+                    if isinstance(err, PoisonItemError):
+                        raise err
+                    raise err from SweepItemError(low, n, err)
+            elif not queue and all(h.chunk is None for h in self._handles):
+                break
+            now = time.monotonic()
+            if deadline_at is not None and now >= deadline_at:
+                pending = sum(1 for r in results if r is _MISSING)
+                raise SweepDeadlineError(deadline, pending, n)
+
+            # Dispatch ready chunks to idle workers in index order.
+            queue.sort(key=lambda c: c.lo)
+            for h in self._handles:
+                if h.chunk is not None:
+                    continue
+                c = next((c for c in queue if c.not_before <= now), None)
+                if c is None:
                     break
-                now = time.monotonic()
-                if deadline_at is not None and now >= deadline_at:
-                    pending = sum(1 for r in results if r is _MISSING)
-                    self._fail_inflight()
-                    raise SweepDeadlineError(deadline, pending, n)
+                try:
+                    h.conn.send((c.cid, fn, items[c.lo : c.hi]))
+                except (OSError, BrokenPipeError):
+                    # Died before dispatch: the chunk stays queued.
+                    on_death(h, now)
+                    continue
+                queue.remove(c)
+                h.chunk = c
+                h.since = now
 
-                # Dispatch ready chunks to idle workers in index order.
-                queue.sort(key=lambda c: c.lo)
+            # How long may we sleep without missing a wake-up?  A ready
+            # chunk waits for a busy worker's pipe or sentinel, which the
+            # wait below watches; only a future backoff gate shortens the
+            # sleep.  A worker replaced at send time is idle beside ready
+            # work, so that must not sleep.
+            idle = any(h.chunk is None for h in self._handles)
+            timeout = self.tick
+            for c in queue:
+                if c.not_before > now:
+                    timeout = min(timeout, c.not_before - now)
+                elif idle:
+                    timeout = 0.0
+            if deadline_at is not None:
+                timeout = min(timeout, max(0.0, deadline_at - now))
+            if self.chunk_timeout is not None:
                 for h in self._handles:
                     if h.chunk is not None:
-                        continue
-                    c = next(
-                        (c for c in queue if c.not_before <= now), None
-                    )
-                    if c is None:
-                        break
+                        due = h.since + self.chunk_timeout - now
+                        timeout = min(timeout, max(0.0, due))
+
+            by_obj = {}
+            waitables = []
+            for h in self._handles:
+                if h.chunk is not None:
+                    waitables.append(h.conn)
+                    by_obj[h.conn] = h
+                waitables.append(h.proc.sentinel)
+                by_obj[h.proc.sentinel] = h
+            ready = mp_connection.wait(waitables, timeout) if waitables else []
+            self._check_open()  # close() from another thread
+            now = time.monotonic()
+            handled: set[int] = set()
+            for obj in ready:
+                h = by_obj[obj]
+                if id(h) in handled:
+                    continue
+                handled.add(id(h))
+                # Even when the *sentinel* fired, drain a buffered result
+                # first: a worker killed after sending has still done the
+                # work.
+                got = False
+                if h.chunk is not None:
                     try:
-                        h.conn.send(
-                            (c.cid, fn, items[c.lo : c.hi])
-                        )
-                    except (OSError, BrokenPipeError):
-                        # Died before dispatch: the chunk stays queued.
-                        on_death(h, now)
-                        continue
-                    queue.remove(c)
-                    h.chunk = c
-                    h.since = now
+                        if h.conn.poll(0):
+                            on_message(h, h.conn.recv())
+                            got = True
+                    except (EOFError, OSError):
+                        pass
+                if not got and not h.proc.is_alive():
+                    on_death(h, now)
 
-                # How long may we sleep without missing a wake-up?  A
-                # ready chunk waits for a busy worker's pipe or sentinel,
-                # which the wait below watches; only a future backoff
-                # gate shortens the sleep.  A worker replaced at send
-                # time is idle beside ready work, so that must not sleep.
-                idle = any(h.chunk is None for h in self._handles)
-                timeout = self.tick
-                for c in queue:
-                    if c.not_before > now:
-                        timeout = min(timeout, c.not_before - now)
-                    elif idle:
-                        timeout = 0.0
-                if deadline_at is not None:
-                    timeout = min(timeout, max(0.0, deadline_at - now))
-                if self.chunk_timeout is not None:
-                    for h in self._handles:
-                        if h.chunk is not None:
-                            timeout = min(
-                                timeout,
-                                max(
-                                    0.0,
-                                    h.since + self.chunk_timeout - now,
-                                ),
-                            )
-
-                by_obj = {}
-                waitables = []
-                for h in self._handles:
-                    if h.chunk is not None:
-                        waitables.append(h.conn)
-                        by_obj[h.conn] = h
-                    waitables.append(h.proc.sentinel)
-                    by_obj[h.proc.sentinel] = h
-                ready = (
-                    mp_connection.wait(waitables, timeout)
-                    if waitables
-                    else []
-                )
-                self._check_open()  # close() from another thread
-                now = time.monotonic()
-                handled: set[int] = set()
-                for obj in ready:
-                    h = by_obj[obj]
-                    if id(h) in handled:
-                        continue
-                    handled.add(id(h))
-                    # Even when the *sentinel* fired, drain a buffered
-                    # result first: a worker killed after sending has
-                    # still done the work.
-                    got = False
-                    if h.chunk is not None:
-                        try:
-                            if h.conn.poll(0):
-                                on_message(h, h.conn.recv())
-                                got = True
-                        except (EOFError, OSError):
-                            pass
-                    if not got and not h.proc.is_alive():
+            # Per-chunk heartbeat: a silent worker is a dead worker.
+            if self.chunk_timeout is not None:
+                for h in list(self._handles):
+                    silent = now - h.since > self.chunk_timeout
+                    if h.chunk is not None and silent:
+                        h.proc.kill()
                         on_death(h, now)
 
-                # Per-chunk heartbeat: a silent worker is a dead worker.
-                if self.chunk_timeout is not None:
-                    for h in list(self._handles):
-                        if (
-                            h.chunk is not None
-                            and now - h.since > self.chunk_timeout
-                        ):
-                            h.proc.kill()
-                            on_death(h, now)
-        except _MapFailed as mf:
-            self._fail_inflight()
-            raise mf.original from None
-
-        assert all(r is not _MISSING for r in results)
+        missing = [i for i, r in enumerate(results) if r is _MISSING]
+        if missing:
+            raise RuntimeError(
+                f"SupervisedPool.map lost {len(missing)} of {n} result(s) "
+                f"without a failure (indices {_shown(missing)}); a worker "
+                "replied short"
+            )
         return results
 
     def _fail_inflight(self) -> None:
         """Abandon in-flight chunks: kill their workers, refill slots.
 
-        Called on any path that raises out of ``map`` — the results of
-        still-running chunks are moot and a worker mid-poison-item must
-        not outlive the call.
+        Called on every path that raises out of ``map``, whatever
+        raised: the results of still-running chunks are moot, a worker
+        mid-poison-item must not outlive the call, and a chunk left
+        marked in flight would deliver its stale reply into the next
+        map's results.
         """
         for h in list(self._handles):
             if h.chunk is not None:

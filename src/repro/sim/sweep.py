@@ -5,30 +5,26 @@ goes through — the fuzz harness (:mod:`repro.sim.fuzz`), the chaos
 harness (:mod:`repro.sim.chaos`), saturation curves
 (:mod:`repro.topology.saturation`), the benchmark entry point
 (:mod:`repro.bench`), and the :mod:`repro.serve` job server.  It is
-split into three layers:
+split into two layers:
 
-1. **Planning** (:func:`plan_sweep`): a *pure* decision — given an item
-   count, worker count, chunk size and ``min_chunk`` amortization
-   threshold, produce a :class:`SweepPlan` saying where the work runs
-   (serial in-process or across ``n`` pool workers, with which chunk
-   size).  The plan is a deterministic function of its inputs — never of
-   timing — so scheduling jitter cannot change what any worker computes.
-2. **Execution** (:func:`sweep_map`, :func:`grid_map`): run a plan.
-   :func:`sweep_map` fans an embarrassingly parallel sweep over a
-   process pool; :func:`grid_map` evaluates one program family across a
-   parameter grid with explicit backend resolution
-   (``machine`` / ``compiled`` / ``auto``) through the compiled schedule
-   evaluator (:mod:`repro.sim.compiled`) — compile once per distinct
-   ``P``, replay vectorized.
-3. **Pooling** (:class:`repro.sim.supervise.SupervisedPool`): the one
+1. **Execution** (:func:`sweep_map`, :func:`grid_map`).
+   :func:`sweep_map` decides where a sweep runs — the serial loop, or a
+   process pool with a chunk size that is a pure function of the item
+   and worker counts — and fans it out; :func:`grid_map` evaluates one
+   program family across a parameter grid with explicit backend
+   resolution (``machine`` / ``compiled`` / ``auto``) through the
+   compiled schedule evaluator (:mod:`repro.sim.compiled`) — compile
+   once per distinct ``P``, replay vectorized.
+2. **Pooling** (:class:`repro.sim.supervise.SupervisedPool`): the one
    process pool, with worker-death detection, restart, retry and poison
-   quarantine.  :func:`sweep_map` opens one for the call when no pool is
-   passed and closes it before returning.  Long-lived callers (the
+   quarantine.  It alone assembles results and reports failures.
+   :func:`sweep_map` opens one for the call when no pool is passed and
+   closes it before returning.  Long-lived callers (the
    :mod:`repro.serve` server, bench loops) hold one open across requests
    and pass it as ``sweep_map(..., pool=...)``, so pool startup is paid
    once, not per sweep.
 
-The determinism contract, shared by every layer:
+The determinism contract, shared by both layers:
 
 * **Submission-order merge.**  Results are returned in the order the
   items were submitted, never in completion order, so a parallel sweep
@@ -48,17 +44,18 @@ The determinism contract, shared by every layer:
   loop for sweeps too small to amortize pool startup and per-task IPC
   (~10ms of pure overhead on a small fuzz sweep).  The result is
   unchanged — only where the work runs.
-* **Indexed failure.**  A worker exception is re-raised in the caller
-  chained from a :class:`SweepItemError` naming the failing item's
-  submission index — the lowest failing index, deterministically, even
-  when several chunks fail — so error reports (the server's included)
-  can say *which* grid point or seed died.
+* **Indexed failure.**  A failure of any kind is reported at the lowest
+  failing submission index, once every lower index has resolved, and
+  nothing at or above it is dispatched after it is seen.  A worker
+  exception is re-raised in the caller chained from a
+  :class:`SweepItemError` naming that index, so error reports (the
+  server's included) can say *which* grid point or seed died; an item
+  that kills its worker every time raises
+  :class:`~repro.sim.supervise.PoisonItemError` instead.  The serial
+  loop raises the same exception unchained.
 * **No silent shortfall.**  Every submitted index must come back: a
-  pool that returns short raises :class:`SweepShortfallError` naming
-  the missing indices instead of handing back a shortened, misaligned
-  list.  The supervised pool survives worker death (restart, retry,
-  quarantine), so this never fires on a healthy run; it stays as an
-  independent check on lost work at the merge seam.
+  map that would return short raises ``RuntimeError`` naming the
+  missing indices instead of handing back a shortened, misaligned list.
 
 Worker-count resolution (:func:`resolve_workers`): an explicit argument
 wins and is clamped to at least 1 (callers pass computed counts, e.g.
@@ -81,7 +78,6 @@ import os
 import pickle
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 if TYPE_CHECKING:
@@ -92,10 +88,7 @@ __all__ = [
     "GridGroupReport",
     "GridMapReport",
     "SweepItemError",
-    "SweepPlan",
-    "SweepShortfallError",
     "grid_map",
-    "plan_sweep",
     "resolve_workers",
     "sweep_map",
 ]
@@ -153,134 +146,6 @@ def resolve_workers(workers: int | None = None) -> int:
     return max(1, int(workers))
 
 
-@dataclass(frozen=True, slots=True)
-class SweepPlan:
-    """Where a sweep runs: the scheduler's pure placement decision.
-
-    ``workers == 1`` means the serial in-process loop (no pool, no
-    pickling); ``reason`` says why, for diagnostics and server stats.
-    The plan never affects *results* — only placement and cost.
-    """
-
-    total: int
-    workers: int
-    chunksize: int
-    reason: str
-
-    @property
-    def serial(self) -> bool:
-        return self.workers <= 1
-
-
-def plan_sweep(
-    n_items: int,
-    *,
-    workers: int | None = None,
-    chunksize: int | None = None,
-    min_chunk: int = 1,
-) -> SweepPlan:
-    """Plan a sweep of ``n_items``: a pure function of its arguments.
-
-    Applies the full placement policy — worker resolution
-    (:func:`resolve_workers`), capping at the item count, ``min_chunk``
-    amortization, and the default ~4-chunks-per-worker chunk size that
-    amortizes IPC without letting one straggler chunk dominate.
-    """
-    if min_chunk < 1:
-        raise ValueError(f"min_chunk must be >= 1, got {min_chunk}")
-    n = min(resolve_workers(workers), n_items)
-    if n <= 1:
-        return SweepPlan(n_items, 1, n_items or 1, "single worker or item")
-    if min_chunk > 1:
-        n = min(n, n_items // min_chunk)
-        if n <= 1:
-            return SweepPlan(
-                n_items, 1, n_items, f"under min_chunk={min_chunk}"
-            )
-    if chunksize is None:
-        chunksize = max(1, -(-n_items // (4 * n)))
-    return SweepPlan(n_items, n, chunksize, "pool")
-
-
-def _serial(fn: Callable[[_T], _R], items: list[_T]) -> list[_R]:
-    return [fn(item) for item in items]
-
-
-def _guarded_call(fn, indexed):
-    """Worker-side wrapper: carry the item index with every outcome.
-
-    Returns ``(index, True, result)`` or ``(index, False, exc)``.
-    Successes carry their index too, so the parent can *verify* the
-    pool returned every submitted item (a dead worker's pool may
-    return short) and pick the lowest failing submission index
-    deterministically, rather than whichever chunk's failure crossed
-    the pipe first.  An exception that cannot itself cross the process
-    boundary is downgraded to a picklable ``RuntimeError`` carrying its
-    repr.
-    """
-    i, item = indexed
-    try:
-        return i, True, fn(item)
-    except Exception as exc:  # noqa: BLE001 - re-raised in the parent
-        try:
-            pickle.loads(pickle.dumps(exc))
-        except Exception:  # noqa: BLE001 - unpicklable exception
-            exc = RuntimeError(
-                f"unpicklable worker exception {type(exc).__name__}: {exc!r}"
-            )
-        return i, False, exc
-
-
-class SweepShortfallError(RuntimeError):
-    """The pool returned fewer results than items were submitted.
-
-    A healthy pool cannot do this; a dead or misbehaving one used to
-    surface as a bare pipe error (or a silently misaligned result list)
-    far from the cause.  Name the missing submission indices instead so
-    the report says *which* items were lost.
-    """
-
-    def __init__(self, missing: list, total: int):
-        shown = ", ".join(map(str, missing[:20]))
-        if len(missing) > 20:
-            shown += f", ... ({len(missing) - 20} more)"
-        super().__init__(
-            f"sweep pool returned {total - len(missing)} of {total} "
-            f"result(s); missing submission indices: {shown} — the pool "
-            "lost work (dead worker?) without raising"
-        )
-        self.missing = list(missing)
-        self.total = total
-
-
-def _merge_guarded(wrapped: list, n_items: int) -> list:
-    """Unwrap ``_guarded_call`` results in submission order.
-
-    Raises :class:`SweepShortfallError` if any submitted index is
-    missing or duplicated, else re-raises the lowest-index failure.
-    """
-    slots: list = [None] * n_items
-    seen = [False] * n_items
-    first: tuple | None = None
-    for i, ok, payload in wrapped:
-        if not 0 <= i < n_items or seen[i]:
-            raise SweepShortfallError(
-                [j for j in range(n_items) if not seen[j]], n_items
-            )
-        seen[i] = True
-        slots[i] = payload
-        if not ok and (first is None or i < first[0]):
-            first = (i, payload)
-    if not all(seen):
-        raise SweepShortfallError(
-            [j for j in range(n_items) if not seen[j]], n_items
-        )
-    if first is not None:
-        index, exc = first
-        raise exc from SweepItemError(index, n_items, exc)
-    return slots
-
-
 def sweep_map(
     fn: Callable[[_T], _R],
     items: Iterable[_T],
@@ -294,15 +159,16 @@ def sweep_map(
 
     Semantically identical to ``[fn(x) for x in items]`` for any worker
     count (see the module docstring for the determinism contract).  A
-    worker raising propagates the exception to the caller as the serial
-    loop would, chained from a :class:`SweepItemError` naming the
-    failing submission index.
+    failing item propagates to the caller as the serial loop would
+    raise it; on a pool the exception comes chained from a
+    :class:`SweepItemError` naming the lowest failing submission index.
 
     Args:
         fn: picklable single-argument callable.
         items: the sweep; materialized into a list up front.
         workers: process count; ``None`` resolves via
-            :func:`resolve_workers`.  1 means serial in-process.
+            :func:`resolve_workers` (to ``pool.workers`` when a pool is
+            given).  1 means serial in-process.
         chunksize: items handed to a worker per dispatch.  Default
             splits the sweep into ~4 chunks per worker, which amortizes
             IPC without letting one straggler chunk dominate.
@@ -314,23 +180,21 @@ def sweep_map(
             high enough that pool startup cannot exceed the work shipped.
         pool: an open :class:`repro.sim.supervise.SupervisedPool`
             (anything with ``workers`` / ``map(fn, items, chunksize)`` /
-            ``close``) to dispatch through; its worker count caps the
-            plan, and it is left open for the caller to reuse.  ``None``
-            opens a ``SupervisedPool`` of ``plan.workers`` for this call
-            and closes it before returning, killing its workers at once
-            if the map raises (Ctrl-C included).
+            ``close``) to dispatch through; its worker count caps
+            ``workers``, and it is left open for the caller to reuse.
+            ``None`` opens a ``SupervisedPool`` for this call and closes
+            it before returning, killing its workers at once if the map
+            raises (Ctrl-C included).
     """
+    if min_chunk < 1:
+        raise ValueError(f"min_chunk must be >= 1, got {min_chunk}")
     items = list(items)
-    eff_workers = (
-        pool.workers if pool is not None and workers is None else workers
-    )
-    plan = plan_sweep(
-        len(items),
-        workers=eff_workers,
-        chunksize=chunksize,
-        min_chunk=min_chunk,
-    )
-    if min(resolve_workers(eff_workers), len(items)) > 1:
+    if pool is not None and workers is None:
+        workers = pool.workers
+    n = min(resolve_workers(workers), len(items))
+    if pool is not None:
+        n = min(n, pool.workers)
+    if n > 1:
         # Warn about unpicklable work whenever parallelism was even
         # plausible (before the min_chunk degrade), so callers learn
         # their fn cannot parallelize rather than silently never scaling.
@@ -344,20 +208,19 @@ def sweep_map(
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return _serial(fn, items)
-    if plan.serial:
-        return _serial(fn, items)
-    guarded = partial(_guarded_call, fn)
-    indexed = list(enumerate(items))
+            return [fn(item) for item in items]
+    n = min(n, len(items) // min_chunk)
+    if n <= 1:
+        return [fn(item) for item in items]
+    if chunksize is None:
+        chunksize = -(-len(items) // (4 * n))
     if pool is not None:
-        wrapped = pool.map(guarded, indexed, plan.chunksize)
-    else:
-        # Imported here: supervise imports resolve_workers from us.
-        from .supervise import SupervisedPool
+        return pool.map(fn, items, chunksize)
+    # Imported here: supervise imports from this module.
+    from .supervise import SupervisedPool
 
-        with SupervisedPool(plan.workers) as call_pool:
-            wrapped = call_pool.map(guarded, indexed, plan.chunksize)
-    return _merge_guarded(wrapped, len(items))
+    with SupervisedPool(n) as call_pool:
+        return call_pool.map(fn, items, chunksize)
 
 
 def _require_filled(out: list) -> list:
@@ -370,15 +233,21 @@ def _require_filled(out: list) -> list:
     """
     missing = [i for i, pair in enumerate(out) if pair is None]
     if missing:
-        shown = ", ".join(map(str, missing[:20]))
-        if len(missing) > 20:
-            shown += f", ... ({len(missing) - 20} more)"
         raise RuntimeError(
             f"grid_map: {len(missing)} of {len(out)} grid point(s) were "
-            f"never filled (indices {shown}); this is a backend dispatch "
-            "bug — no backend claimed these points"
+            f"never filled (indices {_shown(missing)}); this is a backend "
+            "dispatch bug — no backend claimed these points"
         )
     return out
+
+
+def _shown(indices: list) -> str:
+    """The first 20 of ``indices`` for an error message, and how many
+    more there are."""
+    shown = ", ".join(map(str, indices[:20]))
+    if len(indices) > 20:
+        shown += f", ... ({len(indices) - 20} more)"
+    return shown
 
 
 @dataclass(frozen=True, slots=True)
@@ -389,10 +258,10 @@ class GridGroupReport:
     ``"compiled-folded"`` (rank equivalence classes, Θ(classes) tapes),
     ``"compiled-forked"`` (branch-split regions for a ``Now``-observing
     program), or ``"machine"`` (the group degraded to the event
-    machine).  ``reason`` mirrors :class:`SweepPlan.reason`: for a
-    machine degrade it carries the ``CompileError`` text verbatim, so
-    callers (and the server's stats) can report *why* a sweep ran on
-    the slow path, not merely that it did.
+    machine).  ``reason`` says why: for a machine degrade it carries
+    the ``CompileError`` text verbatim, so callers (and the server's
+    stats) can report *why* a sweep ran on the slow path, not merely
+    that it did.
 
     The fold dimension: ``fold`` is ``"on"`` when the group evaluated
     by symmetry classes and ``"off"`` otherwise; ``classes`` is the
@@ -463,7 +332,6 @@ def grid_map(
     fault_plan=None,
     heartbeat=None,
     max_events: int = 50_000_000,
-    max_tapes: int = 32,
     report: GridMapReport | None = None,
 ) -> list[tuple[float, float]]:
     """Evaluate one program family at every parameter point of ``grid``.
@@ -509,11 +377,6 @@ def grid_map(
             (see :mod:`repro.sim.faults`), shared across points.  Both
             are machine-only: ``backend="auto"`` or ``"compiled"``
             refuses them loudly, exactly like a lossy fabric.
-        max_tapes: forwarded to
-            :func:`repro.sim.compiled.evaluate_grid`: an upper bound on
-            the tapes recorded per ``P`` group.  The yield rule of
-            ``grid._cover`` may stop recording first; the report's
-            ``stop_reason`` says which stop applied.
         report: a :class:`GridMapReport` to fill with the per-``P``
             dispatch decisions (which path ran, and the ``CompileError``
             reason when a group degraded to the machine).
@@ -607,7 +470,6 @@ def grid_map(
             hw_barrier_cost=hw_barrier_cost,
             compute_jitter=compute_jitter,
             max_events=max_events,
-            max_tapes=max_tapes,
         )
         try:
             prog = compile_programs(programs, P)

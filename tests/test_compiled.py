@@ -247,7 +247,8 @@ def test_grid_matches_machine_per_point(factory, monkeypatch):
     # The tape path's per-point parity pin: with the yield rule off,
     # every point is covered by a recorded tape.
     monkeypatch.setattr(compiled_grid, "_BREAK_EVEN", 0)
-    gr = evaluate_grid(compile_programs(factory, 8), GRID, max_tapes=64)
+    monkeypatch.setattr(compiled_grid, "_MAX_TAPES", 64)
+    gr = evaluate_grid(compile_programs(factory, 8), GRID)
     assert gr.fallbacks == 0  # every point tape-covered, none punted
     for i, p in enumerate(GRID):
         res = LogPMachine(p, latency=FixedLatency(p.L), trace=False).run(
@@ -259,12 +260,16 @@ def test_grid_matches_machine_per_point(factory, monkeypatch):
         ), f"grid point {i} ({p.L}, {p.o}, {p.g}) diverged"
 
 
-def test_grid_scalar_fallback_is_exact():
-    """With max_tapes=0 every point takes the scalar-replay fallback."""
+def test_grid_scalar_fallback_is_exact(monkeypatch):
+    """With a tape budget of 0 every point takes the scalar fallback."""
     prog = compile_programs(_flood, 8)
-    gr = evaluate_grid(prog, GRID[:6], max_tapes=0)
+    with monkeypatch.context() as m:
+        m.setattr(compiled_grid, "_MAX_TAPES", 0)
+        gr = evaluate_grid(prog, GRID[:6])
     assert gr.tapes == 0 and gr.fallbacks == 6
-    full = evaluate_grid(prog, GRID[:6], max_tapes=64)
+    assert gr.stop_reason == "max_tapes"
+    monkeypatch.setattr(compiled_grid, "_MAX_TAPES", 64)
+    full = evaluate_grid(prog, GRID[:6])
     assert gr.makespans == full.makespans
     assert gr.total_stall_times == full.total_stall_times
 

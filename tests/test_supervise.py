@@ -12,8 +12,11 @@ The contract under test, in increasing order of violence:
 * hung chunks are bounded by ``chunk_timeout``, whole maps by
   ``deadline`` (:class:`SweepDeadlineError`), and runaway crash loops
   by the death budget (:class:`WorkerRestartStorm`);
-* ordinary exceptions are *not* retried — they propagate immediately,
-  exactly as the serial loop would raise them;
+* ordinary exceptions are *not* retried, and a failure of any kind —
+  an exception, a poison item, a lost result — is reported at the
+  lowest submission index once every lower index has resolved, with
+  nothing at or above it dispatched after it is seen, whatever order
+  the failures arrive in;
 * ``close(drain=True)`` joins workers cleanly; ``drain=False`` kills,
   and so does leaving a ``with`` block (or ``sweep_map``) on Ctrl-C;
 * ``close()`` from another thread aborts a running map with
@@ -33,6 +36,7 @@ from functools import partial
 
 import pytest
 
+from repro.sim import supervise
 from repro.sim.supervise import (
     PoisonItemError,
     PoolClosedError,
@@ -40,7 +44,7 @@ from repro.sim.supervise import (
     SweepDeadlineError,
     WorkerRestartStorm,
 )
-from repro.sim.sweep import sweep_map
+from repro.sim.sweep import SweepItemError, sweep_map
 
 
 # ----------------------------------------------------------------------
@@ -105,6 +109,54 @@ class _BrokenOnce:
 
     def __getattr__(self, name):
         return getattr(self._conn, name)
+
+
+def _scripted(script: dict, log: str, x: int) -> int:
+    """Item ``x`` does what ``script`` says; every call is logged first.
+
+    ``"raise"`` raises ``ValueError("item x")`` at once, ``"late"`` after
+    0.1 s, ``"poison"`` SIGKILLs its worker, ``"lost"`` returns a result
+    that :func:`_lossy_worker` drops, ``"unpicklable"`` returns a lock,
+    which cannot cross the pipe, and ``"slow"`` returns ``x * x`` after
+    0.1 s.  The ``"*"`` entry is the action of unlisted items, which
+    otherwise return ``x * x`` at once.
+    """
+    with open(log, "a") as fh:
+        fh.write(f"{x}\n")
+    action = script.get(x, script.get("*"))
+    if action == "poison":
+        os.kill(os.getpid(), signal.SIGKILL)
+    if action in ("late", "slow"):
+        time.sleep(0.1)
+    if action in ("raise", "late"):
+        raise ValueError(f"item {x}")
+    if action == "unpicklable":
+        return threading.Lock()
+    return "lost" if action == "lost" else x * x
+
+
+class _DropLost:
+    """A worker pipe that drops a chunk's trailing ``"lost"`` result."""
+
+    def __init__(self, conn):
+        self._conn = conn
+
+    def send(self, frame):
+        cid, out, exc = frame
+        if out and out[-1] == "lost":
+            out = out[:-1]
+        return self._conn.send((cid, out, exc))
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+_REAL_WORKER = supervise._supervised_worker
+
+
+def _lossy_worker(conn) -> None:
+    """The pool's worker loop, replying one result short."""
+    _REAL_WORKER(_DropLost(conn))
 
 
 def _fast_pool(workers: int, **kw) -> SupervisedPool:
@@ -324,6 +376,93 @@ class TestExceptionsAreNotFaults:
                 )
             cause = excinfo.value.__cause__
             assert isinstance(cause, SweepItemError) and cause.index == 1
+
+
+#: The failure contract, one row per rule: item count, what scripted
+#: items do (:func:`_scripted`), and the index and type the map must
+#: raise.
+_FAILURES = {
+    # Item 1 (chunksize 1) or item 3 (chunksize 3) fails at once, item 0
+    # only 0.1 s in: the failure that arrives first does not win.
+    "late_low_failure_wins": (12, {0: "late", 1: "raise", 3: "raise"}, 0, ValueError),
+    "exception_below_poison_wins": (12, {2: "raise", 5: "poison"}, 2, ValueError),
+    "poison_below_exception_wins": (12, {2: "poison", 5: "raise"}, 2, PoisonItemError),
+    # Checked against the call log: with every other item slow, nothing
+    # past the first wave of chunks runs once item 1 has failed.
+    "no_dispatch_above_failure": (40, {1: "raise", "*": "slow"}, 1, ValueError),
+    # Item 5 ends its chunk at chunksize 1 and 3, so the lossy worker
+    # drops exactly that result.
+    "lost_result_named": (12, {5: "lost"}, 5, RuntimeError),
+    # Item 4 sits mid-chunk at chunksize 3: the blame is still its own.
+    "unpicklable_result_named": (12, {4: "unpicklable"}, 4, RuntimeError),
+}
+
+
+def _failure_cases():
+    for rule, (n, script, index, exc_type) in _FAILURES.items():
+        for via in ("pool.map", "sweep_map"):
+            for workers in (1, 2, 4):
+                # sweep_map on a 1-worker pool is the serial loop: a
+                # poison item there would kill pytest, and no worker
+                # pipe exists to lose a result or refuse to pickle one.
+                serial = via == "sweep_map" and workers == 1
+                if serial and ("poison" in script.values() or exc_type is RuntimeError):
+                    continue
+                for chunksize in (1, 3):
+                    yield pytest.param(
+                        rule, via, workers, chunksize,
+                        id=f"{rule}-{via}-w{workers}-c{chunksize}",
+                    )
+
+
+class TestFailureContract:
+    """One rule for every failure, at any worker count and chunk size,
+    through the pool and through ``sweep_map``: the lowest failing
+    submission index wins, and nothing above it runs after it is seen."""
+
+    @pytest.mark.parametrize("rule, via, workers, chunksize", _failure_cases())
+    def test_lowest_failing_index_wins(
+        self, rule, via, workers, chunksize, tmp_path, monkeypatch
+    ):
+        n, script, index, exc_type = _FAILURES[rule]
+        if "lost" in script.values():
+            monkeypatch.setattr(supervise, "_supervised_worker", _lossy_worker)
+        log = tmp_path / "calls"
+        fn = partial(_scripted, script, str(log))
+        with _fast_pool(workers) as pool:
+            with pytest.raises(exc_type) as excinfo:
+                if via == "pool.map":
+                    pool.map(fn, list(range(n)), chunksize)
+                else:
+                    sweep_map(fn, range(n), chunksize=chunksize, pool=pool)
+            deaths = pool.deaths
+        err = excinfo.value
+        if exc_type is PoisonItemError:
+            assert (err.index, err.total) == (index, n)
+        elif rule == "lost_result_named":
+            assert f"indices {index})" in str(err)
+        elif via == "sweep_map" and workers == 1:
+            assert err.__cause__ is None  # the plain serial loop
+        else:
+            assert isinstance(err.__cause__, SweepItemError)
+            assert (err.__cause__.index, err.__cause__.total) == (index, n)
+        if exc_type is ValueError:
+            assert str(err) == f"item {index}"
+        if "poison" not in script.values():
+            assert deaths == 0  # an exception is not a worker death
+        if rule == "no_dispatch_above_failure":
+            ran = [int(line) for line in log.read_text().split()]
+            assert max(ran) < max(index + 1, workers * chunksize), sorted(ran)
+
+    def test_a_map_that_raises_leaves_no_chunk_in_flight(self):
+        # A failure raised in the parent (here an item that cannot be
+        # pickled, found when its chunk is sent) abandons the chunk
+        # already running, so its reply cannot land in the next map.
+        with _fast_pool(2) as pool:
+            items = [1, 2, 3, threading.Lock()]
+            with pytest.raises(TypeError, match="pickle"):
+                pool.map(partial(_sleep_for, 0.3), items, chunksize=2)
+            assert pool.map(partial(_sleep_for, 0.01), [10]) == [10]
 
 
 class TestTeardown:

@@ -20,9 +20,6 @@ from repro.sim.supervise import SupervisedPool
 from repro.sim.sweep import (
     ENV_WORKERS,
     SweepItemError,
-    SweepShortfallError,
-    _merge_guarded,
-    plan_sweep,
     resolve_workers,
     sweep_map,
 )
@@ -416,74 +413,6 @@ class TestIndexedWorkerFailure:
         assert excinfo.value.__cause__ is None
 
 
-class TestShortfall:
-    """A pool that loses work must be named, not silently truncated.
-
-    ``_merge_guarded`` is the single seam every pooled path funnels
-    through; these unit tests drive it directly with the wrapped
-    ``(index, ok, payload)`` triples a misbehaving pool would return."""
-
-    def test_complete_results_unwrap_in_order(self):
-        wrapped = [(2, True, "c"), (0, True, "a"), (1, True, "b")]
-        assert _merge_guarded(wrapped, 3) == ["a", "b", "c"]
-
-    def test_missing_indices_are_named(self):
-        wrapped = [(0, True, "a"), (3, True, "d")]
-        with pytest.raises(SweepShortfallError) as excinfo:
-            _merge_guarded(wrapped, 4)
-        err = excinfo.value
-        assert err.missing == [1, 2]
-        assert err.total == 4
-        assert "1, 2" in str(err) and "dead worker" in str(err)
-
-    def test_duplicate_index_is_a_shortfall(self):
-        wrapped = [(0, True, "a"), (0, True, "a"), (1, True, "b")]
-        with pytest.raises(SweepShortfallError):
-            _merge_guarded(wrapped, 3)
-
-    def test_out_of_range_index_is_a_shortfall(self):
-        with pytest.raises(SweepShortfallError):
-            _merge_guarded([(5, True, "x")], 2)
-
-    def test_long_missing_list_is_truncated_in_message(self):
-        with pytest.raises(SweepShortfallError) as excinfo:
-            _merge_guarded([], 100)
-        assert excinfo.value.missing == list(range(100))
-        assert "..." in str(excinfo.value)
-
-    def test_failure_outranks_shortfall_reporting_order(self):
-        # A present failure at index 1 with index 2 missing: the
-        # shortfall is the structural error and wins — the failure
-        # payload may itself be an artifact of the lost worker.
-        wrapped = [(0, True, "a"), (1, False, ZeroDivisionError("x"))]
-        with pytest.raises(SweepShortfallError):
-            _merge_guarded(wrapped, 3)
-
-
-class TestPlanSweep:
-    """The placement decision is pure and inspectable."""
-
-    def test_plan_is_deterministic(self):
-        a = plan_sweep(100, workers=4, min_chunk=10)
-        b = plan_sweep(100, workers=4, min_chunk=10)
-        assert a == b and not a.serial and a.workers == 4
-
-    def test_min_chunk_degrades_to_serial(self):
-        plan = plan_sweep(60, workers=2, min_chunk=48)
-        assert plan.serial and "min_chunk" in plan.reason
-
-    def test_default_chunksize_is_quarter_share(self):
-        plan = plan_sweep(80, workers=2)
-        assert plan.chunksize == 10  # ceil(80 / (4 * 2))
-
-    def test_single_item_is_serial(self):
-        assert plan_sweep(1, workers=8).serial
-
-    def test_invalid_min_chunk(self):
-        with pytest.raises(ValueError, match="min_chunk"):
-            plan_sweep(10, workers=2, min_chunk=0)
-
-
 class TestWorkerPool:
     """The persistent worker pool (``SupervisedPool``) under
     ``sweep_map``: lazy start, reuse, identical results, indexed
@@ -503,6 +432,25 @@ class TestWorkerPool:
             assert pool.started
             second = sweep_map(_square, range(20), pool=pool)
             assert first == serial and second == serial
+
+    def test_workers_capped_at_the_pool_size(self, monkeypatch):
+        # Chunks are sized for the workers the pool has: 80 items get
+        # ceil(80 / (4 * 2)) = 10 a chunk on a 2-worker pool, whether
+        # the caller asks for 4 workers or leaves the count to the pool.
+        # Only the chunking follows the pool, never the values.
+        chunksizes = []
+        original = SupervisedPool.map
+
+        def spy(self, fn, items, chunksize=1, **kwargs):
+            chunksizes.append(chunksize)
+            return original(self, fn, items, chunksize, **kwargs)
+
+        monkeypatch.setattr(SupervisedPool, "map", spy)
+        with SupervisedPool(workers=2) as pool:
+            asked = sweep_map(_square, range(80), workers=4, pool=pool)
+            left = sweep_map(_square, range(80), pool=pool)
+        assert chunksizes == [10, 10]
+        assert asked == left == [x * x for x in range(80)]
 
     def test_pool_failure_still_carries_index(self):
         with SupervisedPool(workers=2) as pool:
