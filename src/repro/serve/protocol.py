@@ -34,12 +34,21 @@ back off and resubmit), ``deadline-exceeded``, ``cancelled``, and
 ``server-shutdown``.  Anything else is an exception rendered as
 ``TypeName: message``.
 
-Frames the server sends are never interleaved mid-line (a writer lock
-serializes them); submissions on one connection run concurrently, so a
-slow sweep does not block a ``stats`` probe on the same socket.
+Each connection queues the frames it sends in an outbox, whole frames
+in order, so they are never interleaved mid-line.  The first frame
+queued in a loop turn schedules one flush, which writes the whole
+outbox with one ``write``: the replies to every request read in that
+turn leave in one ``send``.  Each frame still awaits ``drain()``, so a
+client that stops reading stops the server reading from it.  A submit
+whose every point hits the cache is answered by the read loop itself
+(``accepted``, one ``progress`` when streaming, ``result``), with no
+task; a submit that must wait for computation gets a task, so a slow
+sweep does not block a ``stats`` probe on the same socket.  A tag's
+frames arrive in order on either path.
 
-Malformed input is answered with an ``error`` frame and the connection
-stays up — a serving process must outlive its worst client.
+Malformed input, and any exception the parse or the submit raises, is
+answered with an ``error`` frame and the connection stays up — a
+serving process must outlive its worst client.
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ import json
 
 from .registry import families
 from .server import (
+    Job,
     JobCancelledError,
     JobDeadlineError,
     ServerOverloaded,
@@ -61,6 +71,11 @@ __all__ = ["ServeClient", "handle_connection", "start_tcp_server"]
 
 #: Refuse absurd frames before json-decoding them (memory safety).
 MAX_FRAME_BYTES = 16 * 1024 * 1024
+#: A connection's outbox is written at once when it holds this much,
+#: the transport's default high-water mark, so ``drain()`` sees the
+#: bytes: a client that stops reading stops the server reading from it
+#: before the outbox grows past this.
+OUTBOX_BYTES = 64 * 1024
 
 
 def _encode(obj: dict) -> bytes:
@@ -73,15 +88,77 @@ async def handle_connection(
     writer: asyncio.StreamWriter,
 ) -> None:
     """Serve one client connection until EOF (see module docstring)."""
-    lock = asyncio.Lock()
+    loop = asyncio.get_running_loop()
+    outbox: list[bytes] = []
+    queued = 0  # bytes in the outbox
     tasks: set[asyncio.Task] = set()
 
+    def flush() -> None:
+        nonlocal queued
+        if outbox:
+            writer.write(b"".join(outbox))
+            outbox.clear()
+            queued = 0
+
     async def send(obj: dict) -> None:
-        async with lock:
-            writer.write(_encode(obj))
-            await writer.drain()
+        nonlocal queued
+        frame = _encode(obj)
+        if not outbox:
+            loop.call_soon(flush)
+        outbox.append(frame)
+        queued += len(frame)
+        if queued >= OUTBOX_BYTES:
+            flush()
+        await writer.drain()
+
+    async def reply(job: Job, tag, stream: bool) -> None:
+        """An accepted job's frames: ``accepted``, ``progress`` frames
+        when streaming, then ``result`` or ``error``."""
+        await send(
+            {"op": "accepted", "tag": tag, "job": job.id,
+             "total": job.total}
+        )
+        if stream:
+            async for done, total in job.updates():
+                await send(
+                    {"op": "progress", "tag": tag, "job": job.id,
+                     "done": done, "total": total}
+                )
+        try:
+            results = await job.wait()
+        except ServerShutdown as exc:
+            await send(
+                {"op": "error", "tag": tag, "job": job.id,
+                 "error": "server-shutdown", "detail": str(exc)}
+            )
+            return
+        except JobDeadlineError as exc:
+            await send(
+                {"op": "error", "tag": tag, "job": job.id,
+                 "error": "deadline-exceeded", "detail": str(exc)}
+            )
+            return
+        except JobCancelledError as exc:
+            await send(
+                {"op": "error", "tag": tag, "job": job.id,
+                 "error": "cancelled", "detail": str(exc)}
+            )
+            return
+        except Exception as exc:  # noqa: BLE001 - reported to the client
+            await send(
+                {"op": "error", "tag": tag, "job": job.id,
+                 "error": f"{type(exc).__name__}: {exc}"}
+            )
+            return
+        await send(
+            {"op": "result", "tag": tag, "job": job.id,
+             "results": [list(pair) for pair in results],
+             "sources": job.sources}
+        )
 
     async def handle_submit(msg: dict) -> None:
+        """Parse and submit; a job every point of which hit the cache is
+        answered here, in this loop turn, and any other gets a task."""
         tag = msg.get("tag")
         try:
             request = SweepRequest.make(
@@ -121,47 +198,19 @@ async def handle_connection(
                  "detail": str(exc), "retry_after": exc.retry_after}
             )
             return
-        await send(
-            {"op": "accepted", "tag": tag, "job": job.id,
-             "total": job.total}
-        )
-        if msg.get("stream"):
-            async for done, total in job.updates():
-                await send(
-                    {"op": "progress", "tag": tag, "job": job.id,
-                     "done": done, "total": total}
-                )
-        try:
-            results = await job.wait()
-        except ServerShutdown as exc:
-            await send(
-                {"op": "error", "tag": tag, "job": job.id,
-                 "error": "server-shutdown", "detail": str(exc)}
-            )
-            return
-        except JobDeadlineError as exc:
-            await send(
-                {"op": "error", "tag": tag, "job": job.id,
-                 "error": "deadline-exceeded", "detail": str(exc)}
-            )
-            return
-        except JobCancelledError as exc:
-            await send(
-                {"op": "error", "tag": tag, "job": job.id,
-                 "error": "cancelled", "detail": str(exc)}
-            )
-            return
         except Exception as exc:  # noqa: BLE001 - reported to the client
             await send(
-                {"op": "error", "tag": tag, "job": job.id,
+                {"op": "error", "tag": tag,
                  "error": f"{type(exc).__name__}: {exc}"}
             )
             return
-        await send(
-            {"op": "result", "tag": tag, "job": job.id,
-             "results": [list(pair) for pair in results],
-             "sources": job.sources}
-        )
+        stream = bool(msg.get("stream"))
+        if job.finished:
+            await reply(job, tag, stream)
+            return
+        task = asyncio.create_task(reply(job, tag, stream))
+        tasks.add(task)
+        task.add_done_callback(tasks.discard)
 
     try:
         while True:
@@ -179,11 +228,16 @@ async def handle_connection(
             except json.JSONDecodeError as exc:
                 await send({"op": "error", "error": f"bad JSON: {exc}"})
                 continue
+            if not isinstance(msg, dict):
+                await send(
+                    {"op": "error",
+                     "error": "a frame must be a JSON object, got "
+                              f"{type(msg).__name__}"}
+                )
+                continue
             op = msg.get("op")
             if op == "submit":
-                task = asyncio.create_task(handle_submit(msg))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
+                await handle_submit(msg)
             elif op == "stats":
                 await send(
                     {"op": "stats", "tag": msg.get("tag"),
@@ -208,11 +262,14 @@ async def handle_connection(
                     {"op": "error", "tag": msg.get("tag"),
                      "error": f"unknown op {op!r}"}
                 )
+    except ConnectionError:
+        pass  # the client went away while a reply was being written
     finally:
         for task in tasks:
             task.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
+        flush()
         writer.close()
         try:
             await writer.wait_closed()

@@ -87,13 +87,25 @@ def families() -> dict[str, str]:
 
 
 def canonical_args(args: dict | None) -> tuple:
-    """Canonicalize request arguments into a hashable, ordered form."""
+    """Canonicalize request arguments into a hashable, ordered form.
+
+    A value that cannot be hashed (a list, a mapping) refuses with a
+    ``TypeError`` naming the argument: the tuple keys the cache."""
     if not args:
         return ()
     try:
-        return tuple(sorted(args.items()))
+        items = tuple(sorted(args.items()))
     except TypeError as exc:
         raise TypeError(f"program args must be sortable scalars: {exc}")
+    for name, value in items:
+        try:
+            hash(value)
+        except TypeError:
+            raise TypeError(
+                f"program arg {name!r} has unhashable type "
+                f"{type(value).__name__}; args must be hashable scalars"
+            ) from None
+    return items
 
 
 def build(name: str, args: dict | None, seed: int | None):

@@ -350,9 +350,12 @@ class ServeConfig:
 
 
 class Job:
-    """A submitted sweep: per-point futures in submission order.
+    """A submitted sweep: per-point results in submission order.
 
-    Every point holds a *mirror* future chained from the shared
+    A cache hit resolves at submit: its pair is stored as is and counts
+    in ``done`` at once, so a job whose every point hit is
+    :attr:`finished` when :meth:`SimulationServer.submit` returns.
+    Every other point holds a *mirror* future chained from the shared
     in-flight future, never the shared future itself — so a deadline
     expiry or cancellation can fail *this* job's points without
     touching the shared computation (or the other jobs attached to
@@ -374,15 +377,25 @@ class Job:
         #: How each point was served: cache / inflight / computed.
         self.sources = {"cache": 0, "inflight": 0, "computed": 0}
         self._loop = loop or asyncio.get_event_loop()
+        #: Per point, in submission order: its cached pair, or its
+        #: mirror future.
+        self._slots: list = []
+        #: The mirror futures alone.
         self._futures: list[asyncio.Future] = []
         self._wake = asyncio.Event()
         #: Server hook, fired once when the last point resolves
         #: (deadline timer cancel + registry cleanup).
         self._on_finished = None
 
+    def _hit(self, pair: tuple) -> None:
+        self.sources["cache"] += 1
+        self._slots.append(pair)
+        self.done += 1
+
     def _attach(self, fut: asyncio.Future, source: str) -> None:
         self.sources[source] += 1
         mine = self._loop.create_future()
+        self._slots.append(mine)
         self._futures.append(mine)
         mine.add_done_callback(self._on_point)
 
@@ -447,8 +460,16 @@ class Job:
         return self.done >= self.total
 
     async def wait(self) -> list[tuple[float, float]]:
-        """Submission-order results; re-raises the first point failure."""
-        return list(await asyncio.gather(*self._futures))
+        """Submission-order results; re-raises the first point failure.
+
+        A finished job returns without suspending, and raises the
+        failure of its first failed point in submission order."""
+        if not self.finished:
+            await asyncio.gather(*self._futures)
+        return [
+            s.result() if isinstance(s, asyncio.Future) else s
+            for s in self._slots
+        ]
 
     async def updates(self):
         """Async stream of ``(done, total)`` progress pairs.
@@ -752,9 +773,7 @@ class SimulationServer:
             )
             pair = self.cache.get(key)
             if pair is not None:
-                fut = loop.create_future()
-                fut.set_result(pair)
-                job._attach(fut, "cache")
+                job._hit(pair)
                 self.stats["served_cache"] += 1
                 continue
             fut = self._inflight.get(key)
@@ -776,7 +795,12 @@ class SimulationServer:
         return job
 
     def _register(self, job: Job, loop: asyncio.AbstractEventLoop) -> None:
-        """Track the job until finished: deadline timer + cancel registry."""
+        """Track the job until finished: deadline timer + cancel registry.
+
+        A job every point of which hit the cache is finished already:
+        nothing can time out or be cancelled, so it is not tracked."""
+        if job.finished:
+            return
         deadline = job.request.deadline
         if deadline is None:
             deadline = self.config.default_deadline
@@ -792,10 +816,7 @@ class SimulationServer:
                 handle.cancel()
             self._jobs.pop(job.id, None)
 
-        if job.finished:
-            _finalize()
-        else:
-            job._on_finished = _finalize
+        job._on_finished = _finalize
 
     def _expire_job(self, job: Job, deadline: float) -> None:
         if job.finished:

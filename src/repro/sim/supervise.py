@@ -24,8 +24,11 @@ asynchronously from a supervision loop:
   A chunk queued behind busy workers waits in that same call; only a
   future backoff gate shortens it, so the parent sleeps instead of
   polling and leaves the cores to its workers.
-* **Restart.**  A dead worker slot is refilled immediately; the
-  ``restarts`` counter is surfaced through the server's health stats.
+* **Restart.**  A worker that dies during a map is replaced at once;
+  the slots of workers killed because a map raised, and of workers
+  that died while the pool sat idle, are refilled when the next map
+  starts.  The ``restarts`` counter is surfaced through the server's
+  health stats.
 * **Retry with backoff.**  The dead worker's orphaned chunk is
   resubmitted under a :class:`~repro.sim.faults.RetryPolicy` — the same
   ``Fixed`` / ``ExponentialBackoff`` / ``Budgeted`` taxonomy the lossy
@@ -76,9 +79,11 @@ index.  The raised index is therefore the first one the serial loop
 ``[fn(x) for x in items]`` fails at, for any worker count, chunk size
 or completion order.  Whatever makes ``map`` raise — a failure, the
 deadline, a restart storm, Ctrl-C, an item that cannot be pickled —
-the chunks still in flight are abandoned: their workers are killed and
-replaced, so no stale reply reaches the next map.  A map that raises
-with nothing in flight restarts no worker.
+the chunks still in flight are abandoned: their workers are killed, so
+no stale reply reaches the next map, and their slots stay empty until
+the next map starts, which forks their replacements (counted in
+``restarts``).  A map that raises with nothing in flight restarts no
+worker.
 """
 
 from __future__ import annotations
@@ -349,7 +354,8 @@ class SupervisedPool:
 
     def _ensure_started(self) -> None:
         # Replace slots whose worker died while the pool sat idle
-        # (between map calls nobody watches the sentinels).
+        # (between map calls nobody watches the sentinels) or was
+        # killed because the last map raised (_fail_inflight).
         for h in list(self._handles):
             if not h.proc.is_alive():
                 self._replace(h)
@@ -647,16 +653,19 @@ class SupervisedPool:
         return results
 
     def _fail_inflight(self) -> None:
-        """Abandon in-flight chunks: kill their workers, refill slots.
+        """Abandon in-flight chunks: kill their workers, leave the slots
+        dead.
 
         Called on every path that raises out of ``map``, whatever
         raised: the results of still-running chunks are moot, a worker
         mid-poison-item must not outlive the call, and a chunk left
         marked in flight would deliver its stale reply into the next
-        map's results.
+        map's results.  No replacement is forked here: a pool closed
+        right after (``sweep_map`` with no ``pool=``, Ctrl-C) would only
+        kill it, and :meth:`_ensure_started` refills dead slots when the
+        next map starts.
         """
         for h in list(self._handles):
             if h.chunk is not None:
                 h.chunk = None
-                h.proc.kill()
-                self._replace(h)
+                self._discard(h)

@@ -11,6 +11,7 @@ it.
 """
 
 import asyncio
+import json
 
 import pytest
 
@@ -305,6 +306,10 @@ class TestFailureHandling:
         with pytest.raises(KeyError, match="no_such_family"):
             SweepRequest.make("no_such_family", O_SWEEP[:1])
 
+    def test_unhashable_args_refuse_at_make(self):
+        with pytest.raises(TypeError, match="'k' has unhashable type list"):
+            SweepRequest.make("stream", O_SWEEP[:1], args={"k": [1, 2]})
+
     def test_bad_backend_refuses_at_submit(self):
         with pytest.raises(ValueError, match="backend"):
             SweepRequest.make("stream", O_SWEEP[:1], backend="gpu")
@@ -474,6 +479,260 @@ class TestWireProtocol:
         assert frames[0]["op"] == "error" and "JSON" in frames[0]["error"]
         assert frames[1]["op"] == "error" and "teleport" in frames[1]["error"]
         assert frames[2]["op"] == "pong"
+
+
+def _submit_line(tag, program, points, args, **extra) -> bytes:
+    frame = {"op": "submit", "tag": tag, "program": program,
+             "points": points, "args": args, **extra}
+    return json.dumps(frame).encode() + b"\n"
+
+
+def _wire_pairs(program, args, points) -> list:
+    """``grid_map``'s pairs for wire points, as a result frame lists them."""
+    return [
+        list(pair)
+        for pair in grid_map(
+            build(program, args, None),
+            [LogPParams(**p) for p in points],
+            backend="auto",
+        )
+    ]
+
+
+async def _tcp_session(exchange):
+    """Run ``exchange(server, reader, writer)`` against a one-process
+    TCP server on an ephemeral port, then tear everything down."""
+    from repro.serve.protocol import start_tcp_server
+
+    server = SimulationServer(ServeConfig(workers=1))
+    tcp = await start_tcp_server(server)
+    host, port = tcp.sockets[0].getsockname()[:2]
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        return await exchange(server, reader, writer)
+    finally:
+        writer.close()
+        await writer.wait_closed()
+        tcp.close()
+        await tcp.wait_closed()
+        await server.aclose()
+
+
+async def _frames(reader, n: int) -> list:
+    return [
+        json.loads(await asyncio.wait_for(reader.readline(), 30))
+        for _ in range(n)
+    ]
+
+
+class TestHitPath:
+    """A submit whose every point is cached is answered by the read
+    loop in the turn that parsed it: no task and no gather, and a
+    turn's replies leave the connection's outbox in one write."""
+
+    POINTS = [
+        {"L": 6.0, "o": 0.5 + 0.25 * i, "g": 4.0, "P": 4} for i in range(8)
+    ]
+
+    def test_all_hit_job_is_finished_at_submit(self):
+        request = SweepRequest.make("bcast_tree", O_SWEEP, args={"k": 6})
+
+        async def run():
+            async with SimulationServer(ServeConfig(workers=1)) as server:
+                cold = await (await server.submit(request)).wait()
+                job = await server.submit(request)
+                finished = job.finished
+                active = server.stats_snapshot()["health"]["active_jobs"]
+                coro = job.wait()
+                try:
+                    coro.send(None)
+                except StopIteration as stop:
+                    return cold, finished, active, job.sources, stop.value
+                coro.close()
+                raise AssertionError("wait() on a finished job suspended")
+
+        cold, finished, active, sources, warm = _serve(run())
+        assert finished and active == 0
+        assert sources == {"cache": len(O_SWEEP), "inflight": 0, "computed": 0}
+        assert warm == cold == grid_map(
+            build("bcast_tree", {"k": 6}, None), O_SWEEP, backend="auto"
+        )
+
+    def _hit_burst(self, monkeypatch, n: int):
+        """Warm ``POINTS``, then send ``n`` one-point submits of them in
+        one client write.  Returns the reply frames and the sizes of the
+        server's ``StreamWriter.write`` calls while it answered."""
+        writes = []
+        real_write = asyncio.StreamWriter.write
+
+        async def exchange(server, reader, writer):
+            writer.write(
+                _submit_line("warm", "bcast_tree", self.POINTS, {"k": 6})
+            )
+            await writer.drain()
+            warm = await _frames(reader, 2)
+            assert warm[1]["op"] == "result", warm
+
+            def counting(self, data):
+                if self is not writer:
+                    writes.append(len(data))
+                return real_write(self, data)
+
+            monkeypatch.setattr(asyncio.StreamWriter, "write", counting)
+            writer.write(b"".join(
+                _submit_line(i, "bcast_tree", [self.POINTS[i % 8]], {"k": 6})
+                for i in range(n)
+            ))
+            await writer.drain()
+            return await _frames(reader, 2 * n)
+
+        return _serve(_tcp_session(exchange)), writes
+
+    def test_a_burst_of_hits_is_answered_in_fewer_writes(self, monkeypatch):
+        want = _wire_pairs("bcast_tree", {"k": 6}, self.POINTS)
+        frames, writes = self._hit_burst(monkeypatch, 32)
+        by_tag = {}
+        for frame in frames:
+            by_tag.setdefault(frame["tag"], []).append(frame)
+        assert sorted(by_tag) == list(range(32))
+        for tag, (accepted, result) in by_tag.items():
+            assert set(accepted) == {"op", "tag", "job", "total"}
+            assert (accepted["op"], accepted["total"]) == ("accepted", 1)
+            assert set(result) == {"op", "tag", "job", "results", "sources"}
+            assert result["op"] == "result"
+            assert result["job"] == accepted["job"]
+            assert result["results"] == [want[tag % 8]]
+            assert result["sources"] == {
+                "cache": 1, "inflight": 0, "computed": 0
+            }
+        assert len({pair[0]["job"] for pair in by_tag.values()}) == 32
+        # Two frames a request, in fewer writes than requests.
+        assert 0 < len(writes) < 32, writes
+
+    def test_a_long_burst_is_written_in_bounded_pieces(self, monkeypatch):
+        # The outbox is written once it holds OUTBOX_BYTES, so drain()
+        # sees the bytes of a burst long before the burst is answered.
+        from repro.serve.protocol import OUTBOX_BYTES
+
+        want = _wire_pairs("bcast_tree", {"k": 6}, self.POINTS)
+        frames, writes = self._hit_burst(monkeypatch, 1024)
+        results = {f["tag"]: f["results"] for f in frames if f["op"] == "result"}
+        assert results == {i: [want[i % 8]] for i in range(1024)}
+        longest = max(
+            len(json.dumps(f, separators=(",", ":"))) + 1 for f in frames
+        )
+        assert sum(writes) > OUTBOX_BYTES
+        assert max(writes) < OUTBOX_BYTES + longest, writes
+
+    def test_one_connection_mixes_every_kind_of_request(self):
+        hit = self.POINTS[:3]
+        miss = [{**p, "L": 9.0} for p in self.POINTS[:4]]
+        miss_stream = [{**p, "L": 11.0} for p in self.POINTS[:5]]
+        submits = {
+            "hit": (hit, False, "cache"),
+            "miss": (miss, False, "computed"),
+            "hit-stream": (hit, True, "cache"),
+            "miss-stream": (miss_stream, True, "computed"),
+        }
+
+        async def exchange(server, reader, writer):
+            writer.write(_submit_line("warm", "bcast_tree", hit, {"k": 6}))
+            await writer.drain()
+            await _frames(reader, 2)
+            lines = [
+                _submit_line(tag, "bcast_tree", pts, {"k": 6}, stream=stream)
+                for tag, (pts, stream, _source) in submits.items()
+            ]
+            lines[2:2] = [
+                b'{"op": "stats", "tag": "stats"}\n',
+                b"not json\n",
+                b'{"op": "ping", "tag": "ping"}\n',
+            ]
+            writer.write(b"".join(lines))
+            await writer.drain()
+            frames = []
+            while sum(f["op"] == "result" for f in frames) < len(submits):
+                frames += await _frames(reader, 1)
+            # The connection is still up after all of that.
+            writer.write(b'{"op": "ping", "tag": "after"}\n')
+            await writer.drain()
+            frames += await _frames(reader, 1)
+            return frames
+
+        frames = _serve(_tcp_session(exchange))
+        by_tag = {}
+        for frame in frames:
+            by_tag.setdefault(frame.get("tag"), []).append(frame)
+        assert [f["op"] for f in by_tag["stats"]] == ["stats"]
+        assert [f["op"] for f in by_tag["ping"]] == ["pong"]
+        assert [f["op"] for f in by_tag["after"]] == ["pong"]
+        (bad,) = by_tag[None]
+        assert bad["op"] == "error" and "bad JSON" in bad["error"]
+        for tag, (pts, stream, source) in submits.items():
+            ops = [f["op"] for f in by_tag[tag]]
+            assert ops[0] == "accepted" and ops[-1] == "result", (tag, ops)
+            progress = [
+                (f["done"], f["total"]) for f in by_tag[tag][1:-1]
+            ]
+            assert set(ops[1:-1]) <= {"progress"}, (tag, ops)
+            if stream:
+                assert progress[-1] == (len(pts), len(pts)), tag
+                assert progress == sorted(progress), tag
+            else:
+                assert not progress, tag
+            result = by_tag[tag][-1]
+            assert result["results"] == _wire_pairs(
+                "bcast_tree", {"k": 6}, pts
+            ), tag
+            assert result["sources"][source] == len(pts), tag
+        # An all-hit stream is answered in one turn: one progress frame.
+        assert [f["op"] for f in by_tag["hit-stream"]] == [
+            "accepted", "progress", "result"
+        ]
+
+    def test_refused_submits_are_answered_and_the_connection_kept(self):
+        point = [{"L": 6.0, "o": 1.0, "g": 4.0, "P": 4}]
+
+        async def exchange(server, reader, writer):
+            real_submit = server.submit
+            calls = []
+
+            async def flaky(request):
+                calls.append(request)
+                if len(calls) == 1:
+                    raise KeyError("lost")
+                return await real_submit(request)
+
+            server.submit = flaky
+            writer.write(
+                _submit_line("unhashable", "stream", point, {"k": [1, 2]})
+                + _submit_line("raises", "stream", point, {"k": 4})
+                + _submit_line("good", "stream", point, {"k": 4})
+            )
+            await writer.drain()
+            return await _frames(reader, 4)
+
+        frames = _serve(_tcp_session(exchange))
+        assert frames[0] == {
+            "op": "error", "tag": "unhashable",
+            "error": "TypeError: program arg 'k' has unhashable type list; "
+                     "args must be hashable scalars",
+        }
+        assert frames[1] == {
+            "op": "error", "tag": "raises", "error": "KeyError: 'lost'"
+        }
+        assert [f["op"] for f in frames[2:]] == ["accepted", "result"]
+        assert frames[3]["results"] == _wire_pairs("stream", {"k": 4}, point)
+
+    def test_a_frame_that_is_not_an_object_is_answered(self):
+        async def exchange(server, reader, writer):
+            writer.write(b'[1, 2]\n{"op": "ping", "tag": "p"}\n')
+            await writer.drain()
+            return await _frames(reader, 2)
+
+        frames = _serve(_tcp_session(exchange))
+        assert frames[0]["op"] == "error" and "JSON object" in frames[0]["error"]
+        assert frames[1] == {"op": "pong", "tag": "p"}
 
 
 class TestGracefulShutdown:

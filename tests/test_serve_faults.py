@@ -605,9 +605,9 @@ class TestDeadlines:
 
 class TestAdmission:
     def test_unhashable_args_are_refused_before_registration(self):
-        # The fingerprint is computed first in submit(), so an argument
-        # no cache key can hold is refused before any point is
-        # registered in flight, and the server still closes.
+        # An argument no cache key can hold is refused when the request
+        # is made, before any point is registered in flight, and the
+        # server still closes.
         async def run():
             server = SimulationServer(ServeConfig(batch_window=0.0, workers=1))
             await server.start()

@@ -95,6 +95,14 @@ def _sleep_for(seconds: float, x: int) -> int:
     return x
 
 
+def _fails_at_one(x: int) -> int:
+    """Item 1 raises at once; every other item takes 0.1 s."""
+    if x == 1:
+        raise ZeroDivisionError("item 1")
+    time.sleep(0.1)
+    return x
+
+
 class _BrokenOnce:
     """A worker pipe whose next send fails, as if the worker had died."""
 
@@ -458,11 +466,33 @@ class TestFailureContract:
         # A failure raised in the parent (here an item that cannot be
         # pickled, found when its chunk is sent) abandons the chunk
         # already running, so its reply cannot land in the next map.
+        # The killed worker's slot stays empty until the next map
+        # starts, which refills it and counts the restart.
         with _fast_pool(2) as pool:
             items = [1, 2, 3, threading.Lock()]
             with pytest.raises(TypeError, match="pickle"):
                 pool.map(partial(_sleep_for, 0.3), items, chunksize=2)
+            assert len(pool.pids()) == 1 and pool.restarts == 0
             assert pool.map(partial(_sleep_for, 0.01), [10]) == [10]
+            assert len(pool.pids()) == pool.workers and pool.restarts == 1
+
+    def test_a_failed_sweep_forks_no_worker_only_to_kill_it(
+        self, monkeypatch
+    ):
+        # sweep_map with no pool= closes its pool as the failure leaves
+        # it, so the busy worker killed for the failure is not replaced.
+        spawns = []
+        real_spawn = SupervisedPool._spawn
+
+        def spy(self):
+            spawns.append(self)
+            return real_spawn(self)
+
+        monkeypatch.setattr(SupervisedPool, "_spawn", spy)
+        with pytest.raises(ZeroDivisionError) as info:
+            sweep_map(_fails_at_one, range(40), workers=2)
+        assert info.value.__cause__.index == 1
+        assert len(spawns) == 2
 
 
 class TestTeardown:
