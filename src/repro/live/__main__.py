@@ -132,9 +132,9 @@ def main(argv: list[str] | None = None) -> int:
         }
 
     for name in args.families:
-        marker = family_program(name, {"k": args.k}, args.seed)
+        programs = family_program(name, {"k": args.k}, args.seed)
         print(f"running {name!r} (k={args.k}) on {args.ranks} ranks ...")
-        result = run_live(marker, args.ranks, config=config)
+        result = run_live(programs, args.ranks, config=config)
         entry: dict = {
             "makespan": result.makespan,
             "messages": result.total_messages,
@@ -146,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         if args.validate and fitted is not None:
             validation = validate_live(
-                result, fitted, programs=marker, slack=slack
+                result, fitted, programs=programs, slack=slack
             )
             entry["validation"] = validation.as_dict()
             status = "PASS" if validation.exact_ok else "FAIL"

@@ -2,11 +2,20 @@
 
 :func:`run_live` is the live analogue of
 :func:`~repro.sim.machine.run_programs`: hand it a *picklable*
-``(rank, P) -> generator`` program factory (or a registry marker from
-:func:`family_program`) and it spawns ``P`` real OS processes, brokers
-the TCP mesh, serves the hardware barrier, optionally ``SIGKILL``\\ s a
-victim mid-run (:class:`ChaosSpec`), and assembles a
-:class:`~repro.live.logs.LiveResult` from the ranks' event logs.
+``(rank, P) -> generator`` program factory (a registry family from
+:func:`family_program`, or your own) and it spawns ``P`` real OS
+processes, brokers the TCP mesh, serves the hardware barrier,
+optionally ``SIGKILL``\\ s a victim mid-run (:class:`ChaosSpec`), and
+assembles a :class:`~repro.live.logs.LiveResult` from the ranks' event
+logs.
+
+The start protocol, per rank: ``hello`` (its data port) -> ``ports``
+(the port map) -> mesh -> the rank builds its program generator ->
+``ready`` -> ``go``.  ``ready`` therefore means the program is built: a
+rank that fails to build reports an error instead, and the run is
+refused before any rank starts.  ``go`` carries the epoch, the
+coordinator's ``time.monotonic()`` read just before the sends, and each
+rank starts the moment it arrives; no start delay is added.
 
 The coordinator stays single-threaded (fork-safety: no locks are held
 when rank processes fork off) and drives all control sockets through
@@ -32,7 +41,7 @@ import time
 from dataclasses import dataclass
 
 from ..sim.program import ProgramResult
-from .logs import LiveResult
+from .logs import LiveResult, PackedLog
 from .ranks import rank_main
 from .transport import LiveConfig, recv_frame, send_frame
 
@@ -40,14 +49,17 @@ __all__ = ["ChaosSpec", "WatchProgram", "family_program", "run_chaos", "run_live
 
 
 def family_program(name: str, args: dict | None = None, seed: int | None = None):
-    """A registry marker shipped to ranks *by name* (not by pickle of the
-    program object): each rank rebuilds the family worker-side via
-    :func:`repro.serve.registry.build` — the path the registry
-    determinism guard in the test suite pins bit-identical."""
-    from ..serve.registry import get_family
+    """The registry family ``name``, built here with
+    :func:`repro.serve.registry.build`.
 
-    get_family(name)  # unknown families refuse in the parent, loudly
-    return ("registry", name, tuple(sorted((args or {}).items())), seed)
+    An unknown name or a bad argument refuses in the caller, before any
+    rank is forked, and the family's imports run here once, so forked
+    ranks inherit them.  The program object crosses to the ranks by
+    pickle — the path the registry determinism guard in the test suite
+    pins bit-identical."""
+    from ..serve.registry import build
+
+    return build(name, args, seed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,16 +99,18 @@ def run_live(
     """Run ``programs`` as ``P`` real processes over localhost TCP.
 
     Args:
-        programs: picklable ``(rank, P) -> generator`` factory, or a
-            :func:`family_program` marker.
+        programs: picklable ``(rank, P) -> generator`` factory, such as
+            a :func:`family_program` family.
         P: number of ranks (``>= 1``).
         config: live knobs (:class:`~repro.live.transport.LiveConfig`).
         chaos: optionally ``SIGKILL`` one rank mid-run; its log dies
             with it and it is reported in ``LiveResult.killed``.
 
     Raises:
-        LiveRunError: a rank raised (the remote traceback is included),
-            vanished without being chaos-killed, or the deadline passed.
+        LiveRunError: a rank raised (the remote traceback is included;
+            a program that fails to build is refused before any rank
+            starts), vanished without being chaos-killed, or the
+            deadline passed.
         TypeError: the program factory is not picklable.
     """
     import multiprocessing
@@ -110,42 +124,18 @@ def run_live(
     deadline = time.monotonic() + config.deadline_s
 
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.bind((config.host, 0))
-    listener.listen(P)
-    coord_port = listener.getsockname()[1]
-
-    specs = [
-        _pickle_spec(
-            {
-                "rank": rank,
-                "P": P,
-                "config": config,
-                "coordinator": (config.host, coord_port),
-                "program": programs,
-            }
-        )
-        for rank in range(P)
-    ]
-    procs = [
-        ctx.Process(target=rank_main, args=(spec,), name=f"live-rank-{rank}")
-        for rank, spec in enumerate(specs)
-    ]
-    for proc in procs:
-        proc.start()
-
+    procs: list = []  # started ones only: _cleanup joins each
+    accepted: list[socket.socket] = []  # _cleanup closes each
     controls: dict[int, socket.socket] = {}
     results: dict[int, ProgramResult] = {}
-    logs: dict[int, list] = {}
+    logs: dict[int, PackedLog] = {}
     errors: dict[int, str] = {}
     killed: list[int] = []
     vanished: set[int] = set()
 
     def _cleanup(kill: bool) -> None:
-        for sock in controls.values():
-            try:
-                sock.close()
-            except OSError:
-                pass
+        for sock in accepted:
+            sock.close()
         listener.close()
         for proc in procs:
             if kill and proc.is_alive():
@@ -153,11 +143,31 @@ def run_live(
             proc.join(timeout=5.0)
 
     try:
+        listener.bind((config.host, 0))
+        listener.listen(P)
+        coord_port = listener.getsockname()[1]
+        for rank in range(P):
+            spec = _pickle_spec(
+                {
+                    "rank": rank,
+                    "P": P,
+                    "config": config,
+                    "coordinator": (config.host, coord_port),
+                    "program": programs,
+                }
+            )
+            proc = ctx.Process(
+                target=rank_main, args=(spec,), name=f"live-rank-{rank}"
+            )
+            proc.start()
+            procs.append(proc)
+
         # Phase 1: collect hellos (rank -> data port).
         ports: list[int | None] = [None] * P
         for _ in range(P):
             listener.settimeout(max(0.1, deadline - time.monotonic()))
             sock, _addr = listener.accept()
+            accepted.append(sock)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(max(0.1, deadline - time.monotonic()))
             kind, rank, data_port = recv_frame(sock)
@@ -165,17 +175,22 @@ def run_live(
                 raise LiveRunError(f"expected hello, got {kind!r}")
             controls[rank] = sock
             ports[rank] = data_port
-        # Phase 2: broadcast the port map; collect readiness.
+        # Phase 2: broadcast the port map; collect readiness (mesh up,
+        # program built).
         for sock in controls.values():
             send_frame(sock, ("ports", ports))
         for rank, sock in controls.items():
-            kind = recv_frame(sock)[0]
-            if kind == "error":
-                raise LiveRunError(f"rank {rank} failed during mesh setup")
-            if kind != "ready":
-                raise LiveRunError(f"expected ready from rank {rank}, got {kind!r}")
-        # Phase 3: shared epoch; release the ranks.
-        epoch = time.monotonic() + config.settle_s
+            frame = recv_frame(sock)
+            if frame[0] == "error":
+                raise LiveRunError(
+                    f"live rank {rank} failed before the run started:\n{frame[2]}"
+                )
+            if frame[0] != "ready":
+                raise LiveRunError(
+                    f"expected ready from rank {rank}, got {frame[0]!r}"
+                )
+        # Phase 3: the epoch is now; release the ranks.
+        epoch = time.monotonic()
         for sock in controls.values():
             send_frame(sock, ("go", epoch))
 
@@ -264,9 +279,9 @@ def run_live(
                         barrier_waiting.setdefault(n, set()).add(rank)
                         _release_ready_barriers()
                     elif kind == "result":
-                        _kind, _rank, result, events_list = frame
+                        _kind, _rank, result, log = frame
                         results[rank] = result
-                        logs[rank] = events_list
+                        logs[rank] = log
                         _release_ready_barriers()
                     elif kind == "error":
                         errors[rank] = frame[2]

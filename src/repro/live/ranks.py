@@ -1,10 +1,13 @@
 """The live rank process: physical semantics for every program action.
 
 :func:`rank_main` is the child-process entry point.  It handshakes with
-the coordinator (report the data port, learn the port map, build the
-mesh, wait for the shared epoch), then :func:`drive_program` runs the
-*unmodified* program generator, giving each yielded action its physical
-meaning:
+the coordinator: report the data port, learn the port map, build the
+mesh, then build this rank's program generator, start the transport's
+threads and report ``ready``.  A program that fails to build is
+reported as an error before any rank starts.  On ``go`` (which carries
+the shared epoch) the rank starts at once, and :func:`drive_program`
+runs the *unmodified* program generator, giving each yielded action its
+physical meaning:
 
 * ``Send``    — one pickle frame down the pair's TCP socket; the
   processor is engaged for exactly the syscall's duration (logged as
@@ -20,7 +23,8 @@ meaning:
 * ``Sleep``   — ``time.sleep`` (messages keep arriving: reception is a
   dedicated thread, the moral equivalent of the simulator servicing
   messages while idle).
-* ``Now``     — cycles since the shared epoch.
+* ``Now``     — cycles since the shared epoch (the coordinator's
+  ``go``).
 * ``Poll``    — snapshot of immediately-available messages.  Live
   reception is asynchronous, so there is nothing left to "service";
   the returned count preserves the program-visible contract (how many
@@ -59,6 +63,7 @@ from .transport import (
     LiveConfig,
     RankTransport,
     connect_mesh,
+    dial,
     recv_frame,
     send_frame,
 )
@@ -174,27 +179,6 @@ def drive_program(
     )
 
 
-def _build_program(spec_program, rank: int, P: int):
-    """Instantiate this rank's generator from the shipped spec.
-
-    ``spec_program`` is either a picklable ``(rank, P) -> generator``
-    factory or a registry marker ``("registry", name, args, seed)`` —
-    the latter rebuilds by *name* on this side of the process boundary,
-    the path the serve registry's determinism guard pins."""
-    if (
-        isinstance(spec_program, tuple)
-        and len(spec_program) == 4
-        and spec_program[0] == "registry"
-    ):
-        from ..serve.registry import build
-
-        _tag, name, args, seed = spec_program
-        factory = build(name, dict(args or {}), seed)
-    else:
-        factory = spec_program
-    return factory(rank, P)
-
-
 def rank_main(spec_bytes: bytes) -> None:
     """Child-process entry: handshake, run, report.  Never raises — an
     error is shipped to the coordinator and exits nonzero."""
@@ -212,8 +196,7 @@ def rank_main(spec_bytes: bytes) -> None:
     control = None
     transport = None
     try:
-        control = socket.create_connection((host, coord_port), timeout=config.deadline_s)
-        control.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        control = dial(host, coord_port, config.deadline_s)
         control_lock = threading.Lock()
 
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -228,28 +211,23 @@ def rank_main(spec_bytes: bytes) -> None:
         ports: list[int] = frame[1]
         links = connect_mesh(rank, P, listener, ports, host, config.deadline_s)
         listener.close()
+        log = EventLog(rank)
+        transport = RankTransport(rank, P, config, log, links)
+        gen = spec["program"](rank, P)
+        transport.start()
         send_frame(control, ("ready", rank), control_lock)
 
         frame = recv_frame(control)
         if frame[0] != "go":
             raise ConnectionError(f"expected go frame, got {frame[0]!r}")
-        epoch: float = frame[1]
-
-        log = EventLog(rank)
-        transport = RankTransport(rank, P, config, log, epoch, links)
-        gen = _build_program(spec["program"], rank, P)
-
-        # Synchronized start: all ranks cross the epoch together.
-        while time.monotonic() < epoch:
-            pass
-        transport.start()
+        transport.go(frame[1])
         log.append("start", transport.now(), transport.clock.tick())
         barrier = _Barrier(control, control_lock, rank)
         result = drive_program(gen, transport, barrier, rank, P)
         log.append("finish", transport.now(), transport.clock.tick())
         result.extras["suspects"] = sorted(transport.suspects_snapshot())
         transport.close()
-        send_frame(control, ("result", rank, result, log.events), control_lock)
+        send_frame(control, ("result", rank, result, log.freeze()), control_lock)
         control.close()
         watchdog.cancel()
         os._exit(0)

@@ -11,13 +11,13 @@ packets, the physical counterpart of the in-simulator detector of
 
 Timestamps are ``time.monotonic()`` readings converted to *cycles*
 (``LiveConfig.cycle_ns`` nanoseconds per cycle) relative to a shared
-epoch the coordinator broadcasts.  On Linux (and every platform this
-repo targets) ``time.monotonic`` is ``CLOCK_MONOTONIC``, which is
-machine-wide, so timestamps taken in different rank processes are
-directly comparable; the validator nonetheless treats *timing* clauses
-in tolerance bands and reserves exactness for ordering and delivery
-clauses, which rest on the logical clocks and per-pair sequence
-numbers carried in every data frame.
+epoch: the coordinator's clock reading when it sends ``go``.  On Linux
+(and every platform this repo targets) ``time.monotonic`` is
+``CLOCK_MONOTONIC``, which is machine-wide, so timestamps taken in
+different rank processes are directly comparable; the validator
+nonetheless treats *timing* clauses in tolerance bands and reserves
+exactness for ordering and delivery clauses, which rest on the logical
+clocks and per-pair sequence numbers carried in every data frame.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ __all__ = [
     "LiveConfig",
     "RankTransport",
     "connect_mesh",
+    "dial",
     "recv_frame",
     "send_frame",
 ]
@@ -80,6 +81,23 @@ def recv_frame(sock: socket.socket):
     return pickle.loads(_recv_exact(sock, length))
 
 
+def dial(host: str, port: int, timeout: float) -> socket.socket:
+    """Connect a ``TCP_NODELAY`` socket to ``(host, port)``.
+
+    A plain ``connect`` of an ``AF_INET`` socket: a numeric ``host``
+    (the default) needs no resolver lookup, which
+    ``socket.create_connection`` pays first in every fresh process."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        sock.settimeout(timeout)
+        sock.connect((host, port))
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    except BaseException:
+        sock.close()
+        raise
+    return sock
+
+
 @dataclass(frozen=True)
 class LiveConfig:
     """Knobs of one live run.
@@ -102,15 +120,19 @@ class LiveConfig:
             are *always* shipped to ranks as explicit pickles regardless
             — the registry-determinism guard in the test suite is what
             makes that safe — so both methods run identical code.
-        settle_s: delay between mesh completion and the shared epoch,
-            absorbing scheduler jitter so all ranks start together.
+        host: the IPv4 address every socket of the run binds and
+            dials (numeric by default, so a dial needs no resolver
+            lookup).
+
+    There is no start delay: a rank builds its program before it
+    reports ready, and starts the moment ``go`` arrives (the epoch is
+    the coordinator's clock at that send).
     """
 
     cycle_ns: float = 20_000.0
     heartbeat: HeartbeatConfig | None = None
     deadline_s: float = 60.0
     start_method: str | None = None
-    settle_s: float = 0.05
     host: str = "127.0.0.1"
 
     def __post_init__(self) -> None:
@@ -118,8 +140,6 @@ class LiveConfig:
             raise ValueError(f"cycle_ns must be > 0, got {self.cycle_ns}")
         if self.deadline_s <= 0:
             raise ValueError(f"deadline_s must be > 0, got {self.deadline_s}")
-        if self.settle_s < 0:
-            raise ValueError(f"settle_s must be >= 0, got {self.settle_s}")
         if self.start_method not in (None, "fork", "spawn", "forkserver"):
             raise ValueError(f"unknown start_method {self.start_method!r}")
 
@@ -216,8 +236,7 @@ def connect_mesh(
     rank reported its port, so dials cannot race the listeners)."""
     links: dict[int, socket.socket] = {}
     for peer in range(rank):
-        sock = socket.create_connection((host, ports[peer]), timeout=deadline)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock = dial(host, ports[peer], deadline)
         send_frame(sock, ("peer", rank))
         links[peer] = sock
     for _ in range(P - 1 - rank):
@@ -246,6 +265,12 @@ class RankTransport:
     busy sender can never deadlock the pair — the physical analogue of
     the simulator's always-on network interface); an optional heartbeat
     thread emits liveness beacons and maintains the suspect set.
+
+    :meth:`start` runs the threads before the rank reports ready; they
+    wait for :meth:`go`, which sets the epoch, so a rank's start costs
+    one event.  The receiver then blocks in ``select`` with no timeout;
+    :meth:`close` wakes it through a socket pair registered beside the
+    links, so teardown never waits out a poll interval.
     """
 
     def __init__(
@@ -254,14 +279,13 @@ class RankTransport:
         P: int,
         config: LiveConfig,
         log: EventLog,
-        epoch: float,
         links: dict[int, socket.socket],
     ) -> None:
         self.rank = rank
         self.P = P
         self.config = config
         self.log = log
-        self.epoch = epoch
+        self.epoch = 0.0  # set by go()
         self.clock = LamportClock()
         self.mailbox = Mailbox()
         self._links = {peer: _Link(sock) for peer, sock in links.items()}
@@ -270,8 +294,10 @@ class RankTransport:
         self._suspects: set[int] = set()
         self._state_lock = threading.Lock()
         self._stop = threading.Event()
+        self._go = threading.Event()
         self._recv_thread: threading.Thread | None = None
         self._hb_thread: threading.Thread | None = None
+        self._wake_r, self._wake_w = socket.socketpair()
         self.sends = 0
         self.receives = 0
         # Heartbeat bookkeeping: peer -> cycles of the last beat heard
@@ -349,13 +375,17 @@ class RankTransport:
 
     def _receiver_loop(self) -> None:
         sel = selectors.DefaultSelector()
+        sel.register(self._wake_r, selectors.EVENT_READ, None)
         for peer, link in self._links.items():
             link.sock.setblocking(True)
             sel.register(link.sock, selectors.EVENT_READ, peer)
         try:
+            self._go.wait()
             while not self._stop.is_set():
-                for key, _mask in sel.select(timeout=0.05):
+                for key, _mask in sel.select():
                     peer = key.data
+                    if peer is None:
+                        return  # close() woke us
                     link = self._links[peer]
                     if not link.alive:
                         continue
@@ -390,6 +420,7 @@ class RankTransport:
         assert hb is not None
         period_s = hb.period * self.config.cycle_s
         beat_to, watched = self._watch_sets()
+        self._go.wait()
         while not self._stop.wait(period_s):
             t = self.now()
             if hb.horizon is not None and t > hb.horizon:
@@ -419,6 +450,8 @@ class RankTransport:
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> None:
+        """Start the receiver and heartbeat threads; both wait for
+        :meth:`go`, so a rank pays for them before it reports ready."""
         self._recv_thread = threading.Thread(
             target=self._receiver_loop, name=f"live-recv-{self.rank}", daemon=True
         )
@@ -428,6 +461,12 @@ class RankTransport:
                 target=self._heartbeat_loop, name=f"live-hb-{self.rank}", daemon=True
             )
             self._hb_thread.start()
+
+    def go(self, epoch: float) -> None:
+        """Start the clock at ``epoch`` (a ``time.monotonic()`` reading
+        shared by every rank) and release the threads."""
+        self.epoch = epoch
+        self._go.set()
 
     def suspects_snapshot(self) -> frozenset[int]:
         with self._state_lock:
@@ -442,9 +481,12 @@ class RankTransport:
                 except OSError:
                     link.alive = False
         self._stop.set()
+        self._go.set()
+        self._wake_w.close()  # EOF on _wake_r: the receiver returns
         for thread in (self._recv_thread, self._hb_thread):
             if thread is not None:
                 thread.join(timeout=2.0)
+        self._wake_r.close()
         for link in self._links.values():
             try:
                 link.sock.close()

@@ -330,8 +330,7 @@ def _check_differential(
 ) -> float | None:
     """Replay the same program on the simulator at the fitted parameters;
     values and message counts must match exactly, makespan in band."""
-    factory = _rebuild(programs)
-    sim = run_programs(params, factory, trace=True)
+    sim = run_programs(params, programs, trace=True)
     killed = set(result.killed)
     for rank in range(result.P):
         if rank in killed:
@@ -380,20 +379,6 @@ def _check_differential(
     return predicted
 
 
-def _rebuild(programs):
-    """Resolve a registry marker to a factory for the simulator replay."""
-    if (
-        isinstance(programs, tuple)
-        and len(programs) == 4
-        and programs[0] == "registry"
-    ):
-        from ..serve.registry import build
-
-        _tag, name, args, seed = programs
-        return build(name, dict(args or {}), seed)
-    return programs
-
-
 def validate_live(
     result: LiveResult,
     fitted: MeasuredLogP,
@@ -408,7 +393,7 @@ def validate_live(
         result: the live run to validate.
         fitted: host parameters from :func:`~repro.live.calibrate.fit_live`
             (scales every tolerance band and parameterizes the replay).
-        programs: the same factory (or registry marker) the run executed
+        programs: the same factory the run executed
             — enables the differential clauses (``value-parity``,
             ``message-count``, ``makespan-band``).  ``None`` skips them.
         slack: override :func:`live_slack`.

@@ -279,4 +279,7 @@ def _build_bcast_tree(args: dict, seed: int | None):
     """Pipelined optimal-tree broadcast of k items (Section 3.1 tree)."""
     k = _int_arg(args, "k", 16)
     _no_extras("bcast_tree", args)
+    # Import when built, not first in __call__: processes forked after
+    # the build (live ranks) then inherit the package.
+    from ..algorithms import broadcast  # noqa: F401
     return _BcastTreeProgram(k)

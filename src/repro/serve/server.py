@@ -781,11 +781,13 @@ class SimulationServer:
                 job._attach(fut, "inflight")
                 self.stats["served_inflight"] += 1
                 continue
-            fut = loop.create_future()
-            self._inflight[key] = fut
+            # Find or build the group before publishing the future: a
+            # raise in between would leave a future no batch resolves.
             group = self._pending.get(shape)
             if group is None:
                 group = self._pending[shape] = _Group(shape)
+            fut = loop.create_future()
+            self._inflight[key] = fut
             group.entries.append((key, raw))
             job._attach(fut, "computed")
             self.stats["computed"] += 1

@@ -352,6 +352,34 @@ class TestFailureHandling:
         assert entries == 0
         assert stats["inflight"] == 0  # failed flights are reaped
 
+    def test_submit_that_raises_publishes_no_future(self, monkeypatch):
+        # A raise while submit routes a point must leave no in-flight
+        # future behind, or aclose() waits on it forever.
+        import repro.serve.server as server_mod
+
+        real_group = server_mod._Group
+        raised = []
+
+        def group_that_fails_once(shape):
+            if not raised:
+                raised.append(shape)
+                raise RuntimeError("injected group failure")
+            return real_group(shape)
+
+        monkeypatch.setattr(server_mod, "_Group", group_that_fails_once)
+
+        async def run():
+            server = await SimulationServer().start()
+            with pytest.raises(RuntimeError, match="injected group failure"):
+                await server.submit(
+                    SweepRequest.make("stream", O_SWEEP[:2], args={"k": 4})
+                )
+            inflight = server.stats_snapshot()["inflight"]
+            await asyncio.wait_for(server.aclose(), 5)
+            return inflight
+
+        assert _serve(run()) == 0
+
 
 class TestCacheAndKeys:
     def test_lru_eviction_and_stats(self):
