@@ -203,7 +203,9 @@ def run_live(
             sel.register(sock, selectors.EVENT_READ, rank)
         barrier_waiting: dict[int, set[int]] = {}
 
-        def _expected_at_barrier() -> set[int]:
+        def _outstanding() -> set[int]:
+            """Ranks still running: not finished, errored, killed or
+            vanished; a barrier waits for exactly these."""
             return {
                 r
                 for r in range(P)
@@ -215,7 +217,7 @@ def run_live(
 
         def _release_ready_barriers() -> None:
             for n, waiters in list(barrier_waiting.items()):
-                if waiters >= _expected_at_barrier():
+                if waiters >= _outstanding():
                     for r in waiters:
                         sock = controls.get(r)
                         if sock is not None:
@@ -224,16 +226,6 @@ def run_live(
                             except OSError:
                                 vanished.add(r)
                     del barrier_waiting[n]
-
-        def _outstanding() -> set[int]:
-            return {
-                r
-                for r in range(P)
-                if r not in results
-                and r not in errors
-                and r not in killed
-                and r not in vanished
-            }
 
         try:
             while _outstanding():

@@ -43,6 +43,7 @@ same program structure is what one would time with MPI.
 from __future__ import annotations
 
 import heapq
+import statistics
 from dataclasses import dataclass
 
 from ..core.params import LogPParams
@@ -124,24 +125,32 @@ class _OverheadProbe:
 
 
 class _RoundTripProbe:
-    """Mean empty request/reply time = 2L + 4o over ``reps`` rounds."""
+    """Empty request/reply time = 2L + 4o: the median of ``reps`` rounds,
+    each timed on its own, after one untimed warm-up round.
+
+    On a live host the first round pays for start-up, so timing it
+    would fit mostly start-up into ``L``.
+    """
 
     def __init__(self, reps: int = 4):
         self.reps = reps
 
     def __call__(self, rank: int, P: int):
-        reps = self.reps
+        rounds = self.reps + 1
 
         def run():
             if rank == 0:
+                times = []
                 t0 = yield Now()
-                for i in range(reps):
+                for i in range(rounds):
                     yield Send(1, tag=("q", i))
                     yield Recv(tag=("a", i))
-                t1 = yield Now()
-                return (t1 - t0) / reps
+                    t1 = yield Now()
+                    times.append(t1 - t0)
+                    t0 = t1
+                return statistics.median(times[1:])
             elif rank == 1:
-                for i in range(reps):
+                for i in range(rounds):
                     yield Recv(tag=("q", i))
                     yield Send(0, tag=("a", i))
             return None

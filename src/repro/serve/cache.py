@@ -69,6 +69,7 @@ import os
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "CacheKey",
@@ -96,9 +97,11 @@ def point_key(params) -> tuple:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class CacheKey:
-    """The determinism domain of one served per-point result."""
+class CacheKey(NamedTuple):
+    """The determinism domain of one served per-point result.
+
+    A named tuple, so building and hashing a key runs in C: every point
+    of every request builds one and looks it up at least once."""
 
     fingerprint: str
     point: tuple

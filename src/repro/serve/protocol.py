@@ -1,8 +1,8 @@
 """JSON-lines TCP protocol: the server's wire surface and a thin client.
 
 One frame per line, UTF-8 JSON.  Client frames carry an ``op`` plus an
-optional ``tag`` the server echoes back, so a client can correlate
-frames when it pipelines requests:
+optional ``tag`` (any JSON value) the server echoes back, so a client
+can correlate frames when it pipelines requests:
 
 ``{"op": "submit", "program": "...", "points": [{"L":..,"o":..,"g":..,
 "P":..}, ...], "args": {...}, "seed": null, "backend": "auto",
@@ -38,16 +38,28 @@ Each connection queues the frames it sends in an outbox, whole frames
 in order, so they are never interleaved mid-line.  The first frame
 queued in a loop turn schedules one flush, which writes the whole
 outbox with one ``write``: the replies to every request read in that
-turn leave in one ``send``.  Each frame still awaits ``drain()``, so a
-client that stops reading stops the server reading from it.  A submit
-whose every point hits the cache is answered by the read loop itself
-(``accepted``, one ``progress`` when streaming, ``result``), with no
-task; a submit that must wait for computation gets a task, so a slow
-sweep does not block a ``stats`` probe on the same socket.  A tag's
-frames arrive in order on either path.
+turn leave in one ``send``.  The outbox is also written as soon as it
+holds ``OUTBOX_BYTES``, checked after each frame, and every reply
+awaits ``drain()`` after its last frame, so a client that stops
+reading stops the server reading from it.  A submit whose every point
+hits the cache is answered by the read loop itself (``accepted``, one
+``progress`` when streaming, ``result``), with no task; a submit that
+must wait for computation gets a task, so a slow sweep does not block
+a ``stats`` probe on the same socket.  A tag's frames arrive in order
+on either path.
 
-Malformed input, and any exception the parse or the submit raises, is
-answered with an ``error`` frame and the connection stays up — a
+A job's own frames (``accepted``, ``progress``, ``result``) are
+formatted directly: the tag goes through the JSON encoder once, ids
+and counts are ints, and each result float is written with
+``float.__repr__``, which is what the encoder writes for a finite
+float (any other value goes through the encoder).  Their bytes are the
+encoder's; ``tests/test_serve.py`` pins that.  Every other frame goes
+through one shared compact encoder, and a line is decoded as UTF-8
+and then parsed by one shared decoder.
+
+Malformed input (not UTF-8, not JSON, nested past the parser's depth,
+or not an object), and any exception the parse or the submit raises,
+is answered with an ``error`` frame and the connection stays up — a
 serving process must outlive its worst client.
 """
 
@@ -55,6 +67,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 
 from .registry import families
 from .server import (
@@ -78,8 +91,50 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 OUTBOX_BYTES = 64 * 1024
 
 
+#: One compact encoder and one decoder for every frame: ``json.dumps``
+#: with ``separators`` builds a new encoder per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_DECODER = json.JSONDecoder()
+
+
 def _encode(obj: dict) -> bytes:
-    return json.dumps(obj, separators=(",", ":")).encode() + b"\n"
+    return _ENCODER.encode(obj).encode() + b"\n"
+
+
+def _number(x) -> str:
+    """A result value's JSON text: ``float.__repr__`` for a finite
+    float, which is what the encoder writes, else the encoder itself."""
+    if type(x) is float and math.isfinite(x):
+        return float.__repr__(x)
+    return _ENCODER.encode(x)
+
+
+# A job's own frames, formatted directly; ``tag`` is the JSON text of
+# the client's tag.  Each is byte for byte ``_encode`` of its dict.
+
+
+def _accepted(tag: str, job: Job) -> bytes:
+    return (
+        f'{{"op":"accepted","tag":{tag},"job":{job.id},'
+        f'"total":{job.total}}}\n'
+    ).encode()
+
+
+def _progress(tag: str, job: Job, done: int) -> bytes:
+    return (
+        f'{{"op":"progress","tag":{tag},"job":{job.id},"done":{done},'
+        f'"total":{job.total}}}\n'
+    ).encode()
+
+
+def _result(tag: str, job: Job, results) -> bytes:
+    pairs = ",".join([f"[{_number(m)},{_number(s)}]" for m, s in results])
+    src = job.sources
+    return (
+        f'{{"op":"result","tag":{tag},"job":{job.id},"results":[{pairs}],'
+        f'"sources":{{"cache":{src["cache"]},"inflight":{src["inflight"]},'
+        f'"computed":{src["computed"]}}}}}\n'
+    ).encode()
 
 
 async def handle_connection(
@@ -100,61 +155,46 @@ async def handle_connection(
             outbox.clear()
             queued = 0
 
-    async def send(obj: dict) -> None:
+    def queue(frame: bytes) -> None:
         nonlocal queued
-        frame = _encode(obj)
         if not outbox:
             loop.call_soon(flush)
         outbox.append(frame)
         queued += len(frame)
         if queued >= OUTBOX_BYTES:
             flush()
+
+    async def send(obj: dict) -> None:
+        queue(_encode(obj))
         await writer.drain()
 
     async def reply(job: Job, tag, stream: bool) -> None:
         """An accepted job's frames: ``accepted``, ``progress`` frames
-        when streaming, then ``result`` or ``error``."""
-        await send(
-            {"op": "accepted", "tag": tag, "job": job.id,
-             "total": job.total}
-        )
+        when streaming, then ``result`` or ``error``, with one
+        ``drain()`` after the last.  For a job finished at submit,
+        every point a hit, nothing here suspends before that drain."""
+        text = _ENCODER.encode(tag)
+        queue(_accepted(text, job))
         if stream:
-            async for done, total in job.updates():
-                await send(
-                    {"op": "progress", "tag": tag, "job": job.id,
-                     "done": done, "total": total}
-                )
+            async for done, _total in job.updates():
+                queue(_progress(text, job, done))
         try:
             results = await job.wait()
         except ServerShutdown as exc:
-            await send(
-                {"op": "error", "tag": tag, "job": job.id,
-                 "error": "server-shutdown", "detail": str(exc)}
-            )
-            return
+            error = {"error": "server-shutdown", "detail": str(exc)}
         except JobDeadlineError as exc:
-            await send(
-                {"op": "error", "tag": tag, "job": job.id,
-                 "error": "deadline-exceeded", "detail": str(exc)}
-            )
-            return
+            error = {"error": "deadline-exceeded", "detail": str(exc)}
         except JobCancelledError as exc:
-            await send(
-                {"op": "error", "tag": tag, "job": job.id,
-                 "error": "cancelled", "detail": str(exc)}
-            )
-            return
+            error = {"error": "cancelled", "detail": str(exc)}
         except Exception as exc:  # noqa: BLE001 - reported to the client
-            await send(
-                {"op": "error", "tag": tag, "job": job.id,
-                 "error": f"{type(exc).__name__}: {exc}"}
-            )
-            return
-        await send(
-            {"op": "result", "tag": tag, "job": job.id,
-             "results": [list(pair) for pair in results],
-             "sources": job.sources}
-        )
+            error = {"error": f"{type(exc).__name__}: {exc}"}
+        else:
+            error = None
+        if error is None:
+            queue(_result(text, job, results))
+        else:
+            queue(_encode({"op": "error", "tag": tag, "job": job.id, **error}))
+        await writer.drain()
 
     async def handle_submit(msg: dict) -> None:
         """Parse and submit; a job every point of which hit the cache is
@@ -224,8 +264,9 @@ async def handle_connection(
                 await send({"op": "error", "error": "frame too large"})
                 continue
             try:
-                msg = json.loads(line)
-            except json.JSONDecodeError as exc:
+                msg = _DECODER.decode(line.decode())
+            except (ValueError, RecursionError) as exc:
+                # Not UTF-8, not JSON, or nested past the parser's depth.
                 await send({"op": "error", "error": f"bad JSON: {exc}"})
                 continue
             if not isinstance(msg, dict):

@@ -135,9 +135,11 @@ def _code_digest() -> str:
     return digest.hexdigest()
 
 
-def fingerprint(name: str, args: dict | None) -> str:
+def fingerprint(name: str, args: dict | tuple | None) -> str:
     """The cache key's program component: name + args + code digest.
 
+    ``args`` is a mapping, or the tuple :func:`canonical_args` made of
+    one, which is taken as is: a request canonicalizes its args once.
     The seed and backend are *separate* cache-key fields
     (:class:`repro.serve.cache.CacheKey`), *not* folded in here — the
     fingerprint identifies the family and the code that computes it.
@@ -148,7 +150,9 @@ def fingerprint(name: str, args: dict | None) -> str:
     (family, canonical args), the last 4,096 of them, since clients
     choose the args; unknown families refuse loudly.
     """
-    return _fingerprint(name, canonical_args(args))
+    if not isinstance(args, tuple):
+        args = canonical_args(args)
+    return _fingerprint(name, args)
 
 
 @functools.lru_cache(maxsize=4096)

@@ -42,6 +42,14 @@ the failing item — and the server keeps serving subsequent requests.
 Jobs stream progress: :meth:`Job.updates` yields ``(done, total)``
 after every resolved point-group, and :meth:`Job.wait` returns the
 submission-order results.
+
+A cache hit does only what answering it needs.  A request's args are
+canonicalized once, by :meth:`SweepRequest.make`, and fingerprinted
+once per submit from that tuple; each point builds one
+:class:`~repro.serve.cache.CacheKey`, a named tuple hashed in C, and
+makes one lookup.  A job whose every point hit is finished when
+:meth:`SimulationServer.submit` returns, with no future, callback,
+task or event.
 """
 
 from __future__ import annotations
@@ -310,7 +318,7 @@ class SweepRequest:
 
     @property
     def fingerprint(self) -> str:
-        return fingerprint(self.program, dict(self.args))
+        return fingerprint(self.program, self.args)
 
 
 @dataclass
@@ -382,7 +390,9 @@ class Job:
         self._slots: list = []
         #: The mirror futures alone.
         self._futures: list[asyncio.Future] = []
-        self._wake = asyncio.Event()
+        #: Set when a point resolves; made by :meth:`updates` the first
+        #: time it has to wait, so a job finished at submit makes none.
+        self._wake: asyncio.Event | None = None
         #: Server hook, fired once when the last point resolves
         #: (deadline timer cancel + registry cleanup).
         self._on_finished = None
@@ -429,7 +439,8 @@ class Job:
             # retrieved" when the gather that raised skipped it.
             fut.exception()
         self.done += 1
-        self._wake.set()
+        if self._wake is not None:
+            self._wake.set()
         if self.done >= self.total and self._on_finished is not None:
             hook, self._on_finished = self._on_finished, None
             hook()
@@ -485,6 +496,8 @@ class Job:
                 yield (last, self.total)
             if self.done >= self.total:
                 return
+            if self._wake is None:
+                self._wake = asyncio.Event()
             self._wake.clear()
             if self.done == last:
                 await self._wake.wait()

@@ -20,8 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
+
+# networkx is imported where a graph is built, not here: importing the
+# simulator (which imports this package) should not pay for it.
 
 __all__ = [
     "Topology",
@@ -39,6 +44,8 @@ __all__ = [
 
 def average_distance_exact(G: nx.Graph) -> float:
     """Mean shortest-path distance over ordered distinct node pairs."""
+    import networkx as nx
+
     n = G.number_of_nodes()
     if n < 2:
         return 0.0
@@ -70,6 +77,8 @@ class Topology:
         return average_distance_exact(self.graph())
 
     def diameter(self) -> int:
+        import networkx as nx
+
         return nx.diameter(self.graph())
 
     def bisection_width(self) -> int:
@@ -87,6 +96,8 @@ class Hypercube(Topology):
         super().__init__(P=P, name="Hypercube", formula="log2(p)/2")
 
     def graph(self) -> nx.Graph:
+        import networkx as nx
+
         d = int(math.log2(self.P))
         G = nx.Graph()
         G.add_nodes_from(range(self.P))
@@ -126,6 +137,8 @@ class Butterfly(Topology):
 
         Processor r attaches at (0, r); memory/targets at (log P, r).
         """
+        import networkx as nx
+
         d = int(math.log2(self.P))
         G = nx.Graph()
         for c in range(d):
@@ -167,6 +180,8 @@ class FatTree(Topology):
     def graph(self) -> nx.Graph:
         """Skeleton tree (one switch per internal node; capacity is not
         represented — only distances matter here)."""
+        import networkx as nx
+
         G = nx.Graph()
         h = self.height
         # Node (l, i): level-l switch i; leaves are (0, i).
@@ -186,6 +201,8 @@ class FatTree(Topology):
         return total
 
     def average_distance_bfs(self) -> float:
+        import networkx as nx
+
         G = self.graph()
         leaves = [(0, i) for i in range(self.P)]
         total = 0
@@ -221,6 +238,8 @@ class _Grid(Topology):
         return round(self.P ** (1.0 / self.dims))
 
     def graph(self) -> nx.Graph:
+        import networkx as nx
+
         G = nx.grid_graph(dim=[self.side] * self.dims, periodic=self.wrap)
         return G
 

@@ -72,3 +72,33 @@ class TestDerivedOutputs:
         p = LogPParams(L=6, o=2, g=4, P=2)
         with pytest.raises(ValueError, match="P >= 3"):
             measure_logp(p)
+
+
+class TestRoundTripProbe:
+    def test_the_cold_first_round_is_not_timed(self):
+        """Rank 0's program driven by hand: each reply arrives after the
+        next of ``rounds`` time units.  The first, cold round (50) stays
+        out of the round trip; the later ones give their median."""
+        from repro.machines.fit import _RoundTripProbe
+        from repro.sim.program import Now, Recv, Send
+
+        rounds = iter([50.0, 10.0, 10.0, 12.0, 10.0])
+        clock = 0.0
+        prog = _RoundTripProbe(4)(0, 2)
+        op = next(prog)
+        sent = 0
+        try:
+            while True:
+                if isinstance(op, Now):
+                    op = prog.send(clock)
+                elif isinstance(op, Send):
+                    sent += 1
+                    op = prog.send(None)
+                else:
+                    assert isinstance(op, Recv)
+                    clock += next(rounds)
+                    op = prog.send(None)
+        except StopIteration as stop:
+            rtt = stop.value
+        assert sent == 5
+        assert rtt == 10.0

@@ -763,6 +763,336 @@ class TestHitPath:
         assert frames[1] == {"op": "pong", "tag": "p"}
 
 
+class TestFrameFormatting:
+    """A job's own frames are formatted directly, not by the encoder;
+    each must be byte for byte ``_encode`` of its frame dict, which in
+    turn must be what ``json.dumps`` writes."""
+
+    TAGS = [
+        0, -1, -(2**63), 2**64 + 1, 10**30, 1.5, -0.0, 1e-300, 1e300,
+        "r1", 'say "hi"', "back\\slash", "ctl\x00\x01\x1f\x7f\n\t",
+        "ünïcødé €😀", "", None, True, False, [], {},
+        [1, [2.5, None, {"a": [True, "x"]}]], {"z": 1, "a": {"b": [1, "y"]}},
+    ]
+    RESULTS = [
+        [(0.0, -0.0)],
+        [(5e-324, 1e300), (-5e-324, -1e-300)],
+        [(1.0, 2.0), (75.0, 0.0), (-3.0, 1e16), (1e22, 123456789.0)],
+        [(1 / 3, 2 / 3), (0.1, 0.2 + 0.1)],
+        [(0.1 * i, 1.0 / (i + 1)) for i in range(1000)],
+        [(3, 0)],  # not floats: the encoder writes them
+    ]
+
+    @staticmethod
+    def _job(results):
+        from types import SimpleNamespace
+
+        n = len(results)
+        return SimpleNamespace(
+            id=4321, total=n,
+            sources={"cache": n - 2, "inflight": 1, "computed": 1},
+        )
+
+    @pytest.mark.parametrize("tag", TAGS, ids=repr)
+    def test_frames_equal_the_encoders_bytes(self, tag):
+        from repro.serve.protocol import (
+            _ENCODER,
+            _accepted,
+            _encode,
+            _progress,
+            _result,
+        )
+
+        text = _ENCODER.encode(tag)
+        for results in self.RESULTS:
+            job = self._job(results)
+            frames = [
+                (_accepted(text, job),
+                 {"op": "accepted", "tag": tag, "job": job.id,
+                  "total": job.total}),
+                (_progress(text, job, job.total - 1),
+                 {"op": "progress", "tag": tag, "job": job.id,
+                  "done": job.total - 1, "total": job.total}),
+                (_result(text, job, results),
+                 {"op": "result", "tag": tag, "job": job.id,
+                  "results": [list(pair) for pair in results],
+                  "sources": job.sources}),
+            ]
+            for got, obj in frames:
+                want = json.dumps(obj, separators=(",", ":")).encode() + b"\n"
+                assert _encode(obj) == want
+                assert got == want
+
+    def test_a_non_finite_value_takes_the_encoders_path(self):
+        from repro.serve.protocol import _ENCODER, _encode, _result
+
+        inf, nan = float("inf"), float("nan")
+        results = [(inf, 1.0), (-inf, nan), (2.5, inf)]
+        job = self._job(results)
+        got = _result(_ENCODER.encode("t"), job, results)
+        assert got == _encode(
+            {"op": "result", "tag": "t", "job": job.id,
+             "results": [list(pair) for pair in results],
+             "sources": job.sources}
+        )
+        assert b"[Infinity,1.0],[-Infinity,NaN],[2.5,Infinity]" in got
+
+    def test_an_all_hit_stream_is_the_encoders_frames_in_order(self):
+        from repro.serve.protocol import _encode
+
+        points = TestHitPath.POINTS[:5]
+        tag = {"id": 'q"7', "n": [1, 2.5]}
+
+        async def exchange(server, reader, writer):
+            writer.write(_submit_line("warm", "bcast_tree", points, {"k": 6}))
+            await writer.drain()
+            await _frames(reader, 2)
+            writer.write(
+                _submit_line(tag, "bcast_tree", points, {"k": 6}, stream=True)
+            )
+            await writer.drain()
+            return [
+                await asyncio.wait_for(reader.readline(), 30)
+                for _ in range(3)
+            ]
+
+        lines = _serve(_tcp_session(exchange))
+        job = json.loads(lines[0])["job"]
+        n = len(points)
+        assert lines == [
+            _encode({"op": "accepted", "tag": tag, "job": job, "total": n}),
+            _encode({"op": "progress", "tag": tag, "job": job, "done": n,
+                     "total": n}),
+            _encode({"op": "result", "tag": tag, "job": job,
+                     "results": _wire_pairs("bcast_tree", {"k": 6}, points),
+                     "sources": {"cache": n, "inflight": 0, "computed": 0}}),
+        ]
+
+
+class TestOneStepPerHit:
+    """An answered hit canonicalizes and fingerprints its args once,
+    keys its points with ``CacheKey``s, makes no event and awaits
+    ``drain()`` once."""
+
+    POINTS = TestHitPath.POINTS
+
+    def test_a_submit_canonicalizes_and_fingerprints_once(self, monkeypatch):
+        import repro.serve.registry as registry
+        import repro.serve.server as server_mod
+
+        calls = {"canonical_args": 0, "fingerprint": 0}
+        real_canonical = registry.canonical_args
+        real_fingerprint = server_mod.fingerprint
+
+        def canonical(args):
+            calls["canonical_args"] += 1
+            return real_canonical(args)
+
+        def fingerprint_(name, args):
+            calls["fingerprint"] += 1
+            return real_fingerprint(name, args)
+
+        monkeypatch.setattr(registry, "canonical_args", canonical)
+        monkeypatch.setattr(server_mod, "canonical_args", canonical)
+        monkeypatch.setattr(server_mod, "fingerprint", fingerprint_)
+        submits = [
+            _submit_line(i, "bcast_tree", self.POINTS[: 1 + i % 8],
+                         {"k": 6}, stream=i % 2 == 0)
+            for i in range(12)
+        ]
+
+        async def exchange(server, reader, writer):
+            frames = []
+            for line in submits:  # the first computes, the rest hit
+                writer.write(line)
+                await writer.drain()
+                frames += await _frames(reader, 1)
+                while frames[-1]["op"] != "result":
+                    frames += await _frames(reader, 1)
+            return frames
+
+        frames = _serve(_tcp_session(exchange))
+        assert sum(f["op"] == "result" for f in frames) == len(submits)
+        assert calls == {
+            "canonical_args": len(submits), "fingerprint": len(submits)
+        }
+
+    def test_a_job_finished_at_submit_makes_no_event(self, monkeypatch):
+        request = SweepRequest.make("stream", O_SWEEP[:3], args={"k": 4})
+        made = []
+
+        class CountingEvent(asyncio.Event):
+            def __init__(self):
+                made.append(self)
+                super().__init__()
+
+        async def run():
+            async with SimulationServer(ServeConfig(workers=1)) as server:
+                cold = await server.submit(request)
+                streamed = [u async for u in cold.updates()]
+                await cold.wait()
+                monkeypatch.setattr(asyncio, "Event", CountingEvent)
+                job = await server.submit(request)
+                updates = [u async for u in job.updates()]
+                return job.finished, updates, streamed, await job.wait()
+
+        finished, updates, streamed, results = _serve(run())
+        assert finished and made == []
+        assert updates == [(3, 3)]
+        assert streamed[-1] == (3, 3)  # a job that waits still streams
+        assert results == _serial_reference("stream", {"k": 4}, O_SWEEP[:3])
+
+    def test_a_burst_of_hits_awaits_one_drain_a_submit(self, monkeypatch):
+        drains = []
+        real_drain = asyncio.StreamWriter.drain
+
+        async def exchange(server, reader, writer):
+            writer.write(
+                _submit_line("warm", "bcast_tree", self.POINTS, {"k": 6})
+            )
+            await writer.drain()
+            await _frames(reader, 2)
+
+            async def counting(self):
+                if self is not writer:
+                    drains.append(1)
+                return await real_drain(self)
+
+            monkeypatch.setattr(asyncio.StreamWriter, "drain", counting)
+            writer.write(b"".join(
+                _submit_line(i, "bcast_tree", [self.POINTS[i % 8]], {"k": 6},
+                             stream=i % 2 == 1)
+                for i in range(16)
+            ))
+            await writer.drain()
+            return await _frames(reader, 16 * 2 + 8)
+
+        frames = _serve(_tcp_session(exchange))
+        assert [f["op"] for f in frames].count("result") == 16
+        assert len(drains) == 16
+
+    def test_keys_in_the_server_are_cache_keys(self):
+        """Every key the server stores or waits on is a ``CacheKey``: a
+        plain tuple with equal fields would alias it in a dict."""
+        latency = {"kind": "jittered", "L": 6.0, "scale_frac": 0.1, "seed": 7}
+        requests = [
+            SweepRequest.make("stream", O_SWEEP[:4], args={"k": 4}),
+            SweepRequest.make("stream", O_SWEEP[2:6], args={"k": 4}),
+            SweepRequest.make("stream", O_SWEEP[:4], args={"k": 4},
+                              latency=latency, seed=3),
+        ]
+
+        async def run():
+            async with SimulationServer(ServeConfig(workers=1)) as server:
+                jobs = [await server.submit(r) for r in requests]
+                waiting = list(server._inflight)
+                pending = [
+                    key for group in server._pending.values()
+                    for key, _raw in group.entries
+                ]
+                for job in jobs:
+                    await job.wait()
+                again = await server.submit(requests[0])
+                return waiting, pending, list(server.cache._store), again
+
+        waiting, pending, stored, again = _serve(run())
+        assert waiting and pending and len(stored) == 10
+        for key in waiting + pending + stored:
+            assert type(key) is CacheKey, key
+        assert again.sources["cache"] == 4
+
+
+class TestCacheKeyTuple:
+    FIELDS = {
+        "fingerprint": "fp",
+        "point": (6.0, 1.0, 4.0, 4, None),
+        "seed": None,
+        "backend": "auto",
+        "latency": None,
+    }
+    OTHER = {
+        "fingerprint": "fq",
+        "point": (6.0, 1.0, 4.0, 8, None),
+        "seed": 3,
+        "backend": "machine",
+        "latency": ("fixed", ("L", 6.0)),
+    }
+
+    def test_equal_and_hash_equal_exactly_when_fields_are(self):
+        base = CacheKey(**self.FIELDS)
+        for same in (
+            CacheKey(*self.FIELDS.values()),
+            CacheKey("fp", (6.0, 1.0, 4.0, 4, None), None, "auto"),
+            CacheKey("fp", (6, 1, 4, 4, None), None, "auto"),  # 6 == 6.0
+        ):
+            assert same == base and hash(same) == hash(base)
+            assert {base: 1}[same] == 1
+        for name, value in self.OTHER.items():
+            other = CacheKey(**{**self.FIELDS, name: value})
+            assert other != base, name
+            assert other not in {base: 1}, name
+
+    def test_pickle_keeps_the_type_and_the_fields(self):
+        import pickle
+
+        for fields in (self.FIELDS, self.OTHER):
+            key = CacheKey(**fields)
+            back = pickle.loads(pickle.dumps(key))
+            assert type(back) is CacheKey
+            assert back == key and back._asdict() == fields
+
+    def test_journal_and_snapshot_round_trip(self, tmp_path):
+        from repro.serve import CachePersistence
+
+        fp = fingerprint("stream", {"k": 4})
+        jitter = ("jittered", ("L", 6.0), ("scale_frac", 0.1), ("seed", 7))
+        entries = [
+            ("stream", (("k", 4),),
+             CacheKey(fp, (6.0 + i, 0.5, 4.0, 4, None), seed, backend, lat),
+             (20.0 + i / 3, 0.1 * i))
+            for i, (seed, backend, lat) in enumerate([
+                (None, "auto", None),
+                (7, "machine", None),
+                (None, "compiled", jitter),
+            ])
+        ]
+        store = CachePersistence(str(tmp_path))
+        for program, args, key, pair in entries:
+            store.record(program, args, key, pair)
+        store.close()
+        journaled = CachePersistence(str(tmp_path)).load()
+        snap = CachePersistence(str(tmp_path))
+        snap.snapshot(entries)
+        snap.close()
+        snapshotted = CachePersistence(str(tmp_path)).load()
+        for loaded in (journaled, snapshotted):
+            assert loaded == entries
+            for (_p, _a, key, _pair), (_q, _b, want, _w) in zip(
+                loaded, entries
+            ):
+                assert type(key) is CacheKey
+                assert {want: 1}[key] == 1
+
+
+class TestUndecodableFrames:
+    def test_bad_utf8_and_deep_nesting_keep_the_connection(self):
+        async def exchange(server, reader, writer):
+            writer.write(
+                b'{"op": "\xff"}\n'
+                + b"[" * 100_000 + b"\n"
+                + b'{"op": "ping", "tag": "after"}\n'
+            )
+            await writer.drain()
+            return await _frames(reader, 3)
+
+        frames = _serve(_tcp_session(exchange))
+        assert frames[0]["op"] == "error"
+        assert frames[0]["error"].startswith("bad JSON: 'utf-8' codec")
+        assert frames[1]["op"] == "error"
+        assert frames[1]["error"].startswith("bad JSON: maximum recursion")
+        assert frames[2] == {"op": "pong", "tag": "after"}
+
+
 class TestGracefulShutdown:
     """``aclose(drain=...)``: finish accepted jobs, or fail them loudly."""
 

@@ -126,3 +126,27 @@ class TestStructure:
     def test_node_counts(self):
         assert Hypercube(128).graph().number_of_nodes() == 128
         assert Mesh3D(27).graph().number_of_nodes() == 27
+
+
+def test_simulator_imports_leave_networkx_out():
+    """networkx loads where a graph is built, not with the simulator:
+    the server, the live backend and the sweep runner never import it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    code = (
+        "import sys, repro.serve, repro.live, repro.sim.sweep\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+    # ...and a graph still builds when asked for.
+    assert Hypercube(8).diameter() == 3
