@@ -6,10 +6,11 @@ the process of parameter determination."  This module is that process —
 the microbenchmark suite the later LogP-measurement literature settled
 on, implemented against the simulator's program API:
 
-* **send overhead `o`** — time a processor is engaged by one `Send`
-  with nothing else to do (measured directly: clock before and after);
+* **send overhead `o`** — time a processor is engaged by one warm `Send`
+  with nothing else to do (measured directly: clock before and after,
+  once an untimed `Send` has gone and the gap since it has passed);
 * **round trip** — an empty request/reply gives `RTT = 2L + 4o`, hence
-  `L = (RTT - 4o)/2`;
+  `L = (RTT - 4o)/2` (rounds, too, start with the gap passed);
 * **effective gap** — the *receiver-side* drain rate under saturation:
   many senders flood one receiver, whose steady reception interval is
   `max(g, o)` — the processor can accept no faster than its own
@@ -107,17 +108,43 @@ class SimulatorRunner:
 # ----------------------------------------------------------------------
 
 
+def _after_gap(sent: float, gap: float):
+    """Wait, if need be, until ``gap`` has passed since the send that
+    started at ``sent``; returns the time then."""
+    now = yield Now()
+    if sent + gap > now:
+        yield Sleep(sent + gap - now)
+        now = yield Now()
+    return now
+
+
 class _OverheadProbe:
-    """Clock one Send on an otherwise idle processor."""
+    """Clock one warm Send on an otherwise idle processor.
+
+    On a live host the first Send pays for start-up, so an untimed Send
+    goes first and is acknowledged.  The clock starts once the
+    effective gap ``gap`` has passed since that Send began, so the
+    timed interval holds ``o`` and no gap wait.
+    """
+
+    def __init__(self, gap: float = 0.0):
+        self.gap = gap
 
     def __call__(self, rank: int, P: int):
+        gap = self.gap
+
         def run():
             if rank == 0:
-                t0 = yield Now()
+                sent = yield Now()
+                yield Send(1, tag="warm")
+                yield Recv(tag="ack")
+                t0 = yield from _after_gap(sent, gap)
                 yield Send(1, tag="o")
                 t1 = yield Now()
                 return t1 - t0
             elif rank == 1:
+                yield Recv(tag="warm")
+                yield Send(0, tag="ack")
                 yield Recv(tag="o")
             return None
 
@@ -129,25 +156,30 @@ class _RoundTripProbe:
     each timed on its own, after one untimed warm-up round.
 
     On a live host the first round pays for start-up, so timing it
-    would fit mostly start-up into ``L``.
+    would fit mostly start-up into ``L``.  Each round starts once the
+    effective gap ``gap`` has passed since the last one's request, so
+    no round waits on the gap.
     """
 
-    def __init__(self, reps: int = 4):
+    def __init__(self, reps: int = 4, gap: float = 0.0):
         self.reps = reps
+        self.gap = gap
 
     def __call__(self, rank: int, P: int):
         rounds = self.reps + 1
+        gap = self.gap
 
         def run():
             if rank == 0:
                 times = []
                 t0 = yield Now()
                 for i in range(rounds):
+                    if i:
+                        t0 = yield from _after_gap(t0, gap)
                     yield Send(1, tag=("q", i))
                     yield Recv(tag=("a", i))
                     t1 = yield Now()
                     times.append(t1 - t0)
-                    t0 = t1
                 return statistics.median(times[1:])
             elif rank == 1:
                 for i in range(rounds):
@@ -245,12 +277,12 @@ def _value0(runner, factory):
     return runner.run_values(factory)[0]
 
 
-def _measure_overhead(runner) -> float:
-    return _value0(runner, _OverheadProbe())
+def _measure_overhead(runner, gap: float) -> float:
+    return _value0(runner, _OverheadProbe(gap))
 
 
-def _measure_round_trip(runner, reps: int = 4) -> float:
-    return _value0(runner, _RoundTripProbe(reps))
+def _measure_round_trip(runner, gap: float, reps: int = 4) -> float:
+    return _value0(runner, _RoundTripProbe(reps, gap))
 
 
 def _measure_gap(runner, k: int = 40) -> float:
@@ -308,10 +340,11 @@ def measure_logp(
     runner = (
         SimulatorRunner(machine) if isinstance(machine, LogPParams) else machine
     )
-    o = _measure_overhead(runner)
-    rtt = _measure_round_trip(runner)
-    L = (rtt - 4 * o) / 2
+    # The gap first: the overhead and round-trip probes wait it out.
     g_eff = _measure_gap(runner)
+    o = _measure_overhead(runner, g_eff)
+    rtt = _measure_round_trip(runner, g_eff)
+    L = (rtt - 4 * o) / 2
     depth = (
         _measure_capacity(runner, o, rtt, max_depth=max_depth)
         if measure_depth

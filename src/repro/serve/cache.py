@@ -29,17 +29,18 @@ eviction counters surfaced through the server's stats endpoint and the
 hit rate in the ``python -m repro.serve --smoke`` report.
 
 Persistence (:class:`CachePersistence`) makes the cache survive server
-restarts: every ``put`` is preceded by an append to a write-ahead JSONL
-journal (``journal.jsonl`` under ``cache_dir``), which is compacted
-into a snapshot (``snapshot.jsonl``, written atomically via a temp
-file + ``os.replace``, after which the journal restarts empty) once it
-holds as many records as the last snapshot wrote, and never fewer than
-``snapshot_every``.  Each rewrite is thus paid for by as many journaled
-results as it rewrites: compaction costs a constant number of record
-encodes per result whatever the cache size, and the files stay bounded
-(a snapshot of at most the cache's entries, a journal below
-``max(snapshot_every, last snapshot)`` records at every compaction
-check).  On startup the snapshot is replayed first, then the journal.
+restarts: every computed group is appended, one record a point, to a
+write-ahead JSONL journal (``journal.jsonl`` under ``cache_dir``) with
+one write and one flush before any of its points is ``put``.  The
+journal is compacted into a snapshot (``snapshot.jsonl``, written
+atomically via a temp file + ``os.replace``, after which the journal
+restarts empty) once it holds as many records as the last snapshot
+wrote, and never fewer than ``snapshot_every``.  Each rewrite is thus
+paid for by as many journaled results as it rewrites: compaction costs
+a constant number of record encodes per result whatever the cache
+size, and the files stay bounded (a snapshot of at most the cache's
+entries, a journal below ``max(snapshot_every, last snapshot)``
+records at every compaction check).  On startup the snapshot is replayed first, then the journal.
 Replay is defensive in exactly two ways, both loud:
 
 * **Fingerprint validation.**  Each record stores the family name and
@@ -63,7 +64,9 @@ the un-journaled tail of the very last write.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
+import itertools
 import json
 import os
 import warnings
@@ -202,6 +205,48 @@ class ResultCache:
 # Persistence: write-ahead journal + snapshot (see module docstring)
 # ----------------------------------------------------------------------
 
+#: ``json.dumps(obj, separators=(",", ":"))``, the record format.
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+
+#: Snapshot records per ``write``, so no snapshot is held whole.
+_CHUNK = 512
+
+
+def _number(x) -> str:
+    """A value's JSON text: ``repr`` for an int or a finite float, which
+    is what the encoder writes, else the encoder itself."""
+    kind = type(x)
+    if kind is int or (kind is float and x - x == 0.0):
+        return repr(x)
+    return _ENCODE(x)
+
+
+class _RecordText:
+    """Journal and snapshot lines: byte for byte ``_ENCODE`` of the record
+    ``{"p": program, "a": args, "fp": key.fingerprint, "k": [point, seed,
+    backend, latency], "v": pair}`` plus a newline.  The text a shape
+    shares is encoded once; an instance serves one batch or snapshot."""
+
+    def __init__(self):
+        self._shapes: dict[tuple, tuple[str, str]] = {}
+
+    def line(self, program: str, args: tuple, key: CacheKey, pair) -> str:
+        fp, point, seed, backend, latency = key
+        shape = (program, args, fp, seed, backend, latency)
+        around = self._shapes.get(shape)
+        if around is None:
+            around = self._shapes[shape] = (
+                f'{{"p":{_ENCODE(program)},"a":{_ENCODE(args)},'
+                f'"fp":{_ENCODE(fp)},"k":[[',
+                f'],{_ENCODE(seed)},{_ENCODE(backend)},{_ENCODE(latency)}],'
+                '"v":[',
+            )
+        head, mid = around
+        return (
+            f'{head}{",".join(map(_number, point))}{mid}'
+            f'{",".join(map(_number, pair))}]}}\n'
+        )
+
 
 def _retuple(obj):
     """JSON turns tuples into lists; keys need them back, recursively."""
@@ -213,8 +258,9 @@ def _retuple(obj):
 class CachePersistence:
     """Journal/snapshot store under ``cache_dir``; owns no cache.
 
-    The server calls :meth:`record` before every cache ``put`` and
-    :meth:`load` once at startup (replaying entries *into* its cache);
+    The server calls :meth:`record` once per computed group, before it
+    puts any of the group's points in the cache, and :meth:`load` once
+    at startup (replaying entries *into* its cache);
     :meth:`snapshot` compacts whenever :attr:`snapshot_due` says so,
     plus once on graceful close.  ``snapshot_every`` is the floor of
     that growth rule, not a period.  Counters in :attr:`stats` surface
@@ -250,28 +296,7 @@ class CachePersistence:
             "snapshot_errors": 0,
         }
 
-    # -- encoding ------------------------------------------------------
-
-    @staticmethod
-    def _encode(program: str, args: tuple, key: CacheKey, pair) -> str:
-        return json.dumps(
-            {
-                "p": program,
-                "a": [list(kv) for kv in args],
-                "fp": key.fingerprint,
-                "k": [
-                    list(key.point),
-                    key.seed,
-                    key.backend,
-                    None if key.latency is None else list(
-                        x if not isinstance(x, tuple) else list(x)
-                        for x in key.latency
-                    ),
-                ],
-                "v": list(pair),
-            },
-            separators=(",", ":"),
-        )
+    # -- decoding (records are written by _RecordText) -----------------
 
     @staticmethod
     def _decode(obj: dict):
@@ -383,35 +408,52 @@ class CachePersistence:
 
     # -- writing -------------------------------------------------------
 
-    def record(self, program: str, args: tuple, key: CacheKey, pair) -> None:
-        """Append one write-ahead record and flush it.
+    def record(self, program: str, args: tuple, keys, pairs) -> None:
+        """Append a batch's write-ahead records, a line per ``(key,
+        pair)``, with one ``write`` and one ``flush``.
 
         A flush is durability enough for the fault model here (process
         SIGKILL): the bytes live in the OS page cache, which survives
         the process.  Machine-level power loss is out of scope.  A
-        failed append (disk full, cache dir removed) re-raises its
-        ``OSError`` after cutting the journal back to its last whole
-        record, so no later append can extend the fragment.
+        failed write (disk full, cache dir removed) is cut back to the
+        last whole record, so no later append can extend a fragment,
+        and its ``OSError`` is re-raised with ``whole`` set to the
+        number of the batch's records that stayed.  A journal that
+        cannot be opened raises with no ``whole``: nothing was written.
         """
-        line = (self._encode(program, args, key, pair) + "\n").encode()
+        text = _RecordText()
+        lines = [
+            text.line(program, args, key, pair)
+            for key, pair in zip(keys, pairs)
+        ]
         if self._journal_fh is None:
             self._journal_fh = open(self.journal_path, "ab")
         fh = self._journal_fh
         end = fh.tell()
+        whole = len(lines)
         try:
-            fh.write(line)
+            fh.write("".join(lines).encode())
             fh.flush()
-        except OSError:
+        except OSError as exc:
             # Closing drops (or, given room again, completes) the bytes
-            # the failed flush kept buffered; the truncate removes both.
+            # the failed flush kept buffered; the truncate then cuts
+            # whatever landed back to a record boundary.
             self._journal_fh = None
             with contextlib.suppress(OSError):
                 fh.close()
+            landed = 0
             with contextlib.suppress(OSError):
-                os.truncate(self.journal_path, end)
+                landed = os.path.getsize(self.journal_path) - end
+            # The lines are ASCII: a character is a byte.
+            ends = [0, *itertools.accumulate(map(len, lines))]
+            whole = bisect.bisect_right(ends, landed) - 1
+            with contextlib.suppress(OSError):
+                os.truncate(self.journal_path, end + ends[whole])
+            exc.whole = whole
             raise
-        self.stats["journal_records"] += 1
-        self._since_snapshot += 1
+        finally:
+            self.stats["journal_records"] += whole
+            self._since_snapshot += whole
 
     @property
     def snapshot_due(self) -> bool:
@@ -446,12 +488,14 @@ class CachePersistence:
         :attr:`snapshot_due` stays true so the next check retries.
         """
         tmp = self.snapshot_path + ".tmp"
+        text = _RecordText()
+        lines = (text.line(*entry) for entry in entries)
         written = 0
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for program, args, key, pair in entries:
-                    fh.write(self._encode(program, args, key, pair) + "\n")
-                    written += 1
+            with open(tmp, "wb") as fh:
+                while chunk := list(itertools.islice(lines, _CHUNK)):
+                    fh.write("".join(chunk).encode())
+                    written += len(chunk)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, self.snapshot_path)

@@ -201,35 +201,25 @@ def _stop_server(proc: subprocess.Popen) -> None:
     proc.stdout.close()
 
 
-def _rpc(coro_factory):
-    """Run one client interaction against a server subprocess."""
+def _rpc(host, port, call):
+    """``call(client)`` on a fresh connection to a server subprocess."""
 
     async def go():
-        return await coro_factory()
+        client = await ServeClient.connect(host, port)
+        try:
+            return await call(client)
+        finally:
+            await client.aclose()
 
     return asyncio.run(go())
 
 
 def _submit_once(host, port, **kw):
-    async def go():
-        client = await ServeClient.connect(host, port)
-        try:
-            return await client.submit(**kw)
-        finally:
-            await client.aclose()
-
-    return _rpc(go)
+    return _rpc(host, port, lambda client: client.submit(**kw))
 
 
 def _stats_once(host, port):
-    async def go():
-        client = await ServeClient.connect(host, port)
-        try:
-            return await client.stats()
-        finally:
-            await client.aclose()
-
-    return _rpc(go)
+    return _rpc(host, port, lambda client: client.stats())
 
 
 def _heavy_points(n: int) -> list[dict]:
@@ -263,7 +253,7 @@ def _fire_and_forget(host, port, payload) -> None:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    _rpc(go)
+    asyncio.run(go())
 
 
 def _kill_drill_requests() -> tuple[list, dict]:

@@ -67,8 +67,8 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 
+from .cache import _number
 from .registry import families
 from .server import (
     Job,
@@ -99,14 +99,6 @@ _DECODER = json.JSONDecoder()
 
 def _encode(obj: dict) -> bytes:
     return _ENCODER.encode(obj).encode() + b"\n"
-
-
-def _number(x) -> str:
-    """A result value's JSON text: ``float.__repr__`` for a finite
-    float, which is what the encoder writes, else the encoder itself."""
-    if type(x) is float and math.isfinite(x):
-        return float.__repr__(x)
-    return _ENCODER.encode(x)
 
 
 # A job's own frames, formatted directly; ``tag`` is the JSON text of

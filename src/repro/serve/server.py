@@ -18,10 +18,12 @@ cheapest sufficient source, in this order:
    splits into ``min(workers, n // S)`` contiguous chunks on the
    persistent :class:`repro.sim.supervise.SupervisedPool`, and runs
    in-process only when that is fewer than 2.  ``S`` is a measured
-   shard size per backend class (``_SHARD_COMPILED``,
-   ``_SHARD_MACHINE``): the points whose cheapest work repays one pool
+   shard size per class of batch (``_SHARD_COMPILED`` for tape
+   replays, ``_SHARD_SCALAR`` for a machine batch or one with a
+   latency spec): the points whose cheapest work repays one pool
    round trip.  Evaluation thus leaves the event loop's process for
-   all but the smallest batches.
+   all but the smallest batches; what stays, the journal write and the
+   waiters' wake-up, is paid once per group (see :class:`Job`).
 
 The determinism contract: every served pair is bit-identical to what
 the serial loop ``[run(point) for point in points]`` produces, whether
@@ -41,7 +43,7 @@ the failing item — and the server keeps serving subsequent requests.
 
 Jobs stream progress: :meth:`Job.updates` yields ``(done, total)``
 after every resolved point-group, and :meth:`Job.wait` returns the
-submission-order results.
+submission-order results, or raises the first failed point's error.
 
 A cache hit does only what answering it needs.  A request's args are
 canonicalized once, by :meth:`SweepRequest.make`, and fingerprinted
@@ -85,7 +87,7 @@ class ServerShutdown(RuntimeError):
     """The server is shutting down (or has shut down).
 
     Raised by :meth:`SimulationServer.submit` after close, and set on
-    every abandoned in-flight future by ``aclose(drain=False)`` — so a
+    every abandoned pending point by ``aclose(drain=False)`` — so a
     job interrupted by shutdown fails with an explicit, typed error
     (surfaced on the wire as a ``server-shutdown`` error frame), never
     with a bare ``CancelledError`` that looks like a client bug.
@@ -117,10 +119,10 @@ class ServerOverloaded(RuntimeError):
 class JobDeadlineError(RuntimeError):
     """The job's deadline elapsed before every point resolved.
 
-    Set on the job's *own* (mirror) futures only: the shared
-    computation keeps running and still lands in the cache — the
-    deadline bounds how long this client waits, it does not waste the
-    work.  Surfaced on the wire as a ``deadline-exceeded`` error frame.
+    Set on the job's own pending slots only: the shared computation
+    keeps running and still lands in the cache — the deadline bounds
+    how long this client waits, it does not waste the work.  Surfaced
+    on the wire as a ``deadline-exceeded`` error frame.
     """
 
     def __init__(self, job_id: int, deadline: float, pending: int):
@@ -136,7 +138,7 @@ class JobDeadlineError(RuntimeError):
 class JobCancelledError(RuntimeError):
     """The job was cancelled (``cancel`` op or :meth:`Job.cancel`).
 
-    Like a deadline, cancellation fails only this job's mirror futures;
+    Like a deadline, cancellation fails only this job's pending slots;
     shared in-flight computation other jobs depend on is untouched.
     Surfaced on the wire as a ``cancelled`` error frame.
     """
@@ -333,16 +335,18 @@ class ServeConfig:
     With ``workers > 1``, every batch large enough to give 2 workers a
     measured shard size each runs on a
     :class:`~repro.sim.supervise.SupervisedPool` (worker death is
-    detected, retried, and quarantined; the sizes are not a knob, see
-    ``_SHARD_COMPILED``); ``workers=1`` means no pool, every batch
+    detected, retried, and quarantined; the size depends on the path
+    the batch's points take and is not a knob, see ``_SHARD_COMPILED``
+    and ``_SHARD_SCALAR``); ``workers=1`` means no pool, every batch
     evaluated in-process.  The robustness knobs:
     ``max_pending_points`` bounds admission (``None`` = unbounded — a
     request that would push the in-flight point count past the bound is
     refused with :class:`ServerOverloaded`, never queued into a silent
     hang);
     ``default_deadline`` applies to jobs that don't carry their own;
-    ``cache_dir`` enables cache persistence (write-ahead journal,
-    replayed on restart, compacted into a snapshot once it holds as many
+    ``cache_dir`` enables cache persistence (write-ahead journal, one
+    write per computed group, replayed on restart, compacted into a
+    snapshot once it holds as many
     records as the last snapshot wrote and at least ``snapshot_every``:
     a floor, not a period; see
     :attr:`repro.serve.cache.CachePersistence.snapshot_due`).
@@ -360,37 +364,32 @@ class ServeConfig:
 class Job:
     """A submitted sweep: per-point results in submission order.
 
-    A cache hit resolves at submit: its pair is stored as is and counts
-    in ``done`` at once, so a job whose every point hit is
-    :attr:`finished` when :meth:`SimulationServer.submit` returns.
-    Every other point holds a *mirror* future chained from the shared
-    in-flight future, never the shared future itself — so a deadline
-    expiry or cancellation can fail *this* job's points without
-    touching the shared computation (or the other jobs attached to
-    it), and the computed value still lands in the cache.
+    Each point has a slot.  A cache hit fills its slot at submit, so a
+    job whose every point hit is :attr:`finished` when
+    :meth:`SimulationServer.submit` returns.  Any other point is a
+    ``(job, slot)`` waiter on an in-flight computation, filled with the
+    pair or the group's failure when its group resolves.  A deadline,
+    cancellation or shutdown fails only this job's pending slots: the
+    shared computation still lands in the cache.  The job makes one
+    future, and only when :meth:`wait` has to wait.
     """
 
     _ids = itertools.count(1)
 
-    def __init__(
-        self,
-        total: int,
-        request: SweepRequest,
-        loop: asyncio.AbstractEventLoop | None = None,
-    ):
+    def __init__(self, total: int, request: SweepRequest):
         self.id = next(Job._ids)
         self.request = request
         self.total = total
         self.done = 0
         #: How each point was served: cache / inflight / computed.
         self.sources = {"cache": 0, "inflight": 0, "computed": 0}
-        self._loop = loop or asyncio.get_event_loop()
-        #: Per point, in submission order: its cached pair, or its
-        #: mirror future.
+        #: Per point, in submission order: its pair, its failure (an
+        #: exception), or None while it is pending.
         self._slots: list = []
-        #: The mirror futures alone.
-        self._futures: list[asyncio.Future] = []
-        #: Set when a point resolves; made by :meth:`updates` the first
+        #: Resolved when the last slot fills; made by :meth:`wait` the
+        #: first time it has to wait.
+        self._finished: asyncio.Future | None = None
+        #: Set when a group resolves; made by :meth:`updates` the first
         #: time it has to wait, so a job finished at submit makes none.
         self._wake: asyncio.Event | None = None
         #: Server hook, fired once when the last point resolves
@@ -402,53 +401,30 @@ class Job:
         self._slots.append(pair)
         self.done += 1
 
-    def _attach(self, fut: asyncio.Future, source: str) -> None:
+    def _join(self, waiters: list, source: str) -> None:
         self.sources[source] += 1
-        mine = self._loop.create_future()
-        self._slots.append(mine)
-        self._futures.append(mine)
-        mine.add_done_callback(self._on_point)
+        waiters.append((self, len(self._slots)))
+        self._slots.append(None)
 
-        def _copy(shared: asyncio.Future, mine=mine) -> None:
-            # Observe the shared outcome unconditionally: reading
-            # .exception() marks it retrieved, so a shared failure whose
-            # every mirror was already deadline/cancel-failed doesn't
-            # log a spurious "exception was never retrieved".
-            cancelled = shared.cancelled()
-            exc = None if cancelled else shared.exception()
-            if mine.done():
-                return  # already failed by deadline/cancel/shutdown
-            if cancelled:
-                mine.set_exception(
-                    ServerShutdown("shared computation cancelled")
-                )
-            elif exc is not None:
-                mine.set_exception(exc)
-            else:
-                mine.set_result(shared.result())
-
-        if fut.done():
-            _copy(fut)
-        else:
-            fut.add_done_callback(_copy)
-
-    def _on_point(self, fut: asyncio.Future) -> None:
-        if not fut.cancelled():
-            # Mark retrieved: failures surface in wait(); a mirror whose
-            # job was deadline-failed must not log "exception was never
-            # retrieved" when the gather that raised skipped it.
-            fut.exception()
-        self.done += 1
+    def _settle(self) -> None:
+        """Wake the progress stream; finish once every slot is filled."""
         if self._wake is not None:
             self._wake.set()
-        if self.done >= self.total and self._on_finished is not None:
+        if self.done < self.total:
+            return
+        if self._finished is not None and not self._finished.done():
+            self._finished.set_result(None)
+        if self._on_finished is not None:
             hook, self._on_finished = self._on_finished, None
             hook()
 
     def _fail_pending(self, exc: BaseException) -> None:
-        for f in self._futures:
-            if not f.done():
-                f.set_exception(exc)
+        slots = self._slots
+        for i, slot in enumerate(slots):
+            if slot is None:
+                slots[i] = exc
+                self.done += 1
+        self._settle()
 
     def cancel(self, reason: str = "cancelled by client") -> bool:
         """Fail this job's unresolved points with
@@ -459,28 +435,24 @@ class Job:
         self._fail_pending(JobCancelledError(self.id, reason))
         return True
 
-    def _expire(self, deadline: float) -> None:
-        if self.finished:
-            return
-        self._fail_pending(
-            JobDeadlineError(self.id, deadline, self.total - self.done)
-        )
-
     @property
     def finished(self) -> bool:
         return self.done >= self.total
 
     async def wait(self) -> list[tuple[float, float]]:
-        """Submission-order results; re-raises the first point failure.
+        """Submission-order results once every point has resolved.
 
-        A finished job returns without suspending, and raises the
-        failure of its first failed point in submission order."""
+        Raises the failure of the first failed point in submission
+        order.  A finished job returns, or raises, without suspending.
+        """
         if not self.finished:
-            await asyncio.gather(*self._futures)
-        return [
-            s.result() if isinstance(s, asyncio.Future) else s
-            for s in self._slots
-        ]
+            if self._finished is None or self._finished.cancelled():
+                self._finished = asyncio.get_running_loop().create_future()
+            await self._finished
+        for slot in self._slots:
+            if isinstance(slot, BaseException):
+                raise slot
+        return list(self._slots)
 
     async def updates(self):
         """Async stream of ``(done, total)`` progress pairs.
@@ -534,28 +506,34 @@ def _eval_shard(program, args, seed, backend, latency, raw_pts):
 #: Shard sizes ``S`` of :func:`_shard_count`: a batch runs on the pool
 #: once each of 2 or more shards gets ``S`` points, the size whose
 #: cheapest work repays one pool round trip ``r``, ``S = ceil(r / c)``.
-#: ``c`` is one tape replay a point for the ``compiled`` and ``auto``
-#: backends and one event-machine run for ``machine``.  ``python -m
-#: repro.bench --only shard_cost`` measures both; seven runs of 41 reps
-#: on a 2-vCPU host gave, as medians over the runs (range in brackets):
-#: ``r`` = 0.34 ms [0.28-0.64], on the cheapest 1-point chunk (a
-#: ``flood`` k = 4 point); ``c`` = 5.5 us [4.6-8.1] for a replayed
-#: ``bcast_tree`` k = 8 point at P = 4 (16.6 at P = 16; 31.2 at P = 8,
-#: where the slope also records a second tape) and 300 us [275-340]
-#: for a machine ``flood`` k = 4 point at P = 8 (800 at k = 12).
-#: Hence ceil(0.344 ms / 5.52 us) = 63 and ceil(0.344 ms / 300 us) = 2.
+#: ``c`` is one tape replay a point for a ``compiled`` or ``auto``
+#: batch, and one scalar evaluation for a batch whose points run one at
+#: a time: a ``machine`` batch, or one with a latency spec (the scalar
+#: evaluator takes 90.2 of a 96-point jittered request's points).
+#: ``python -m repro.bench --only shard_cost`` measures both; seven
+#: runs of 41 reps on a 2-vCPU host gave, as medians over the runs
+#: (range in brackets): ``r`` = 0.34 ms [0.28-0.64], on the cheapest
+#: 1-point chunk (a ``flood`` k = 4 point); ``c`` = 5.5 us [4.6-8.1]
+#: for a replayed ``bcast_tree`` k = 8 point at P = 4 (16.6 at P = 16;
+#: 31.2 at P = 8, where the slope also records a second tape) and
+#: 300 us [275-340] for a machine ``flood`` k = 4 point at P = 8 (a
+#: scalar point costs 0.82-0.94 ms, ``tape_cost``).  Hence
+#: ceil(0.344 ms / 5.52 us) = 63 and ceil(0.344 ms / 300 us) = 2.
 #: Both err toward in-process: most compiled points cost more than a
-#: replay (a ``stream`` point runs the scalar evaluator).
+#: replay, and a scalar point more than a machine ``flood`` point.
 _SHARD_COMPILED = 63
-_SHARD_MACHINE = 2
+_SHARD_SCALAR = 2
 
 
-def _shard_count(n: int, backend: str, pool: SupervisedPool | None) -> int:
+def _shard_count(
+    n: int, backend: str, latency, pool: SupervisedPool | None
+) -> int:
     """Pool shards for an ``n``-point batch: ``min(workers, n // S)``;
     1 (no pool, or fewer than 2 shards) means evaluate in-process."""
     if pool is None:
         return 1
-    size = _SHARD_MACHINE if backend == "machine" else _SHARD_COMPILED
+    scalar = backend == "machine" or latency is not None
+    size = _SHARD_SCALAR if scalar else _SHARD_COMPILED
     return max(1, min(pool.workers, n // size))
 
 
@@ -619,9 +597,12 @@ class SimulationServer:
             self._pool = SupervisedPool(self.workers)
         else:
             self._pool = None
-        self._inflight: dict[CacheKey, asyncio.Future] = {}
+        #: Each point in flight and its ``(job, slot)`` waiters.
+        self._inflight: dict[CacheKey, list] = {}
         self._pending: dict[tuple, _Group] = {}
         self._have_pending: asyncio.Event | None = None
+        #: Set whenever a resolved group leaves nothing in flight.
+        self._idle: asyncio.Event | None = None
         self._batcher: asyncio.Task | None = None
         self._closed = False
         self._jobs: dict[int, Job] = {}
@@ -658,6 +639,7 @@ class SimulationServer:
     async def start(self) -> "SimulationServer":
         if self._batcher is None:
             self._have_pending = asyncio.Event()
+            self._idle = asyncio.Event()
             self._batcher = asyncio.create_task(
                 self._batch_loop(), name="repro-serve-batcher"
             )
@@ -669,25 +651,18 @@ class SimulationServer:
         ``drain=True`` (default) refuses new submissions but keeps the
         batcher alive until every already-accepted point has resolved —
         attached jobs complete normally.  ``drain=False`` abandons them:
-        every unresolved future fails with :class:`ServerShutdown`
+        every unresolved point fails with :class:`ServerShutdown`
         (clients see an explicit ``server-shutdown`` error frame, not a
         hang or a cancellation).
         """
         self._closed = True
         if drain and self._batcher is not None:
-            # The batcher keeps consuming _pending; in-flight futures
-            # resolve as their groups evaluate.  New work cannot arrive
+            # Every pending point is in flight, and the batcher resolves
+            # what is in flight group by group.  New work cannot arrive
             # (submit refuses once _closed), so this converges.
-            while self._inflight or self._pending:
-                if self._pending:
-                    self._have_pending.set()
-                futs = [f for f in self._inflight.values() if not f.done()]
-                if futs:
-                    await asyncio.gather(*futs, return_exceptions=True)
-                else:
-                    # Points queued but not yet picked up: let the
-                    # batcher's coalescing window elapse.
-                    await asyncio.sleep(0.001)
+            while self._inflight:
+                self._idle.clear()
+                await self._idle.wait()
         if self._batcher is not None:
             self._batcher.cancel()
             try:
@@ -695,20 +670,12 @@ class SimulationServer:
             except asyncio.CancelledError:
                 pass
             self._batcher = None
-        for fut in self._inflight.values():
-            if not fut.done():
-                fut.set_exception(
-                    ServerShutdown(
-                        "server-shutdown: job abandoned by aclose(drain=False)"
-                    )
-                )
         self._inflight.clear()
         self._pending.clear()
-        for job in list(self._jobs.values()):
-            if not job.finished:
-                job._fail_pending(
-                    ServerShutdown("server-shutdown: job abandoned by aclose")
-                )
+        for job in list(self._jobs.values()):  # the unfinished ones
+            job._fail_pending(
+                ServerShutdown("server-shutdown: job abandoned by aclose")
+            )
         if self._persist is not None:
             # Graceful close compacts: snapshot the live cache and reset
             # the journal, so the next start replays one clean file.
@@ -745,71 +712,57 @@ class SimulationServer:
                 "or await server.start()"
             )
         fp = request.fingerprint
+        seed, backend, latency = request.seed, request.backend, request.latency
+        keys = [
+            CacheKey(fp, point_key(params), seed, backend, latency)
+            for params in request.points
+        ]
         limit = self.config.max_pending_points
         if limit is not None:
             # Side-effect-free probe (peek: no stats, no LRU churn).
             # No await between here and the routing loop below, so the
             # count cannot go stale before the points are attached.
-            fresh = set()
-            for params in request.points:
-                key = CacheKey(
-                    fp, point_key(params), request.seed, request.backend,
-                    request.latency,
-                )
-                if (
-                    key not in self._inflight
-                    and self.cache.peek(key) is None
-                ):
-                    fresh.add(key)
+            fresh = {
+                key for key in keys
+                if key not in self._inflight and self.cache.peek(key) is None
+            }
             if fresh and len(self._inflight) + len(fresh) > limit:
                 self.stats["shed"] += 1
                 raise ServerOverloaded(
                     len(self._inflight), len(fresh), limit,
                     retry_after=max(self.config.batch_window, 0.01),
                 )
-        loop = asyncio.get_running_loop()
-        job = Job(len(request.points), request, loop)
+        job = Job(len(request.points), request)
         self.stats["requests"] += 1
         self.stats["points"] += len(request.points)
         self._families_by_fp[fp] = (request.program, request.args)
-        shape = (
-            request.program,
-            request.args,
-            request.seed,
-            request.backend,
-            request.latency,
-        )
-        for params in request.points:
-            raw = point_key(params)
-            key = CacheKey(
-                fp, raw, request.seed, request.backend, request.latency
-            )
+        shape = (request.program, request.args, seed, backend, latency)
+        for key in keys:
             pair = self.cache.get(key)
             if pair is not None:
                 job._hit(pair)
                 self.stats["served_cache"] += 1
                 continue
-            fut = self._inflight.get(key)
-            if fut is not None:
-                job._attach(fut, "inflight")
+            waiters = self._inflight.get(key)
+            if waiters is not None:
+                job._join(waiters, "inflight")
                 self.stats["served_inflight"] += 1
                 continue
-            # Find or build the group before publishing the future: a
-            # raise in between would leave a future no batch resolves.
+            # Find or build the group before publishing the point: a
+            # raise in between would leave a point no batch resolves.
             group = self._pending.get(shape)
             if group is None:
                 group = self._pending[shape] = _Group(shape)
-            fut = loop.create_future()
-            self._inflight[key] = fut
-            group.entries.append((key, raw))
-            job._attach(fut, "computed")
+            waiters = self._inflight[key] = []
+            group.entries.append((key, key.point))
+            job._join(waiters, "computed")
             self.stats["computed"] += 1
-        self._register(job, loop)
+        self._register(job)
         if self._pending:
             self._have_pending.set()
         return job
 
-    def _register(self, job: Job, loop: asyncio.AbstractEventLoop) -> None:
+    def _register(self, job: Job) -> None:
         """Track the job until finished: deadline timer + cancel registry.
 
         A job every point of which hit the cache is finished already:
@@ -820,7 +773,9 @@ class SimulationServer:
         if deadline is None:
             deadline = self.config.default_deadline
         handle = (
-            loop.call_later(deadline, self._expire_job, job, deadline)
+            asyncio.get_running_loop().call_later(
+                deadline, self._expire_job, job, deadline
+            )
             if deadline is not None
             else None
         )
@@ -837,7 +792,9 @@ class SimulationServer:
         if job.finished:
             return
         self.stats["deadline_expired"] += 1
-        job._expire(deadline)
+        job._fail_pending(
+            JobDeadlineError(job.id, deadline, job.total - job.done)
+        )
 
     def cancel_job(
         self, job_id: int, reason: str = "cancelled by client"
@@ -845,12 +802,10 @@ class SimulationServer:
         """Cancel a registered job by id; unknown/finished ids return
         False.  Shared in-flight computation is never cancelled."""
         job = self._jobs.get(job_id)
-        if job is None or job.finished:
+        if job is None or not job.cancel(reason):
             return False
-        if job.cancel(reason):
-            self.stats["cancelled"] += 1
-            return True
-        return False
+        self.stats["cancelled"] += 1
+        return True
 
     async def run_request(self, request: SweepRequest) -> list:
         """Submit and wait: the one-call client path."""
@@ -913,13 +868,12 @@ class SimulationServer:
 
     async def _run_group(self, group: _Group) -> None:
         program, args, seed, backend, latency = group.request_shape
-        keys = [key for key, _raw in group.entries]
-        raw_pts = [raw for _key, raw in group.entries]
+        keys, raw_pts = zip(*group.entries)
         self.stats["batches"] += 1
         self.stats["largest_batch"] = max(
             self.stats["largest_batch"], len(raw_pts)
         )
-        shards = _shard_count(len(raw_pts), backend, self._pool)
+        shards = _shard_count(len(raw_pts), backend, latency, self._pool)
         if shards > 1:
             self.stats["sharded_batches"] += 1
         try:
@@ -938,40 +892,58 @@ class SimulationServer:
             self._fail_group(keys, exc)
             return
         persist = self._persist
-        for key, pair in zip(keys, pairs):
-            if persist is not None:
-                # Write-ahead: journaled before it is cached or any client
-                # observes it, so a crash cannot have served (and a later
-                # hit cannot serve) un-replayable bits.
-                try:
-                    persist.record(program, args, key, pair)
-                except OSError as exc:
-                    # Disk full or cache dir gone: fail what is not yet
-                    # journaled, keep the batcher serving.
-                    self._fail_group(keys, exc)
-                    return
-            self.cache.put(key, pair)
-            fut = self._inflight.pop(key, None)
-            if fut is not None and not fut.done():
-                fut.set_result(pair)
+        if persist is not None:
+            # Write-ahead: journaled before any point is cached or seen
+            # by a client, so no crash can have served (and no later hit
+            # can serve) bits a restart cannot replay.
+            try:
+                persist.record(program, args, keys, pairs)
+            except OSError as exc:
+                # Disk full or cache dir gone: keep what stayed
+                # journaled, fail the rest, keep the batcher serving.
+                whole = getattr(exc, "whole", 0)
+                self._commit(keys[:whole], pairs[:whole])
+                self._fail_group(keys[whole:], exc)
+                return
+        self._commit(keys, pairs)
         if persist is not None and persist.snapshot_due:
             self._snapshot()
+
+    def _commit(self, keys: list, pairs: list) -> None:
+        """Cache computed points and hand them to their waiters."""
+        for key, pair in zip(keys, pairs):
+            self.cache.put(key, pair)
+        self._resolve(keys, pairs)
 
     def _fail_group(self, keys: list, exc: BaseException) -> None:
         """Fail the group's still-unresolved points with ``exc``."""
         self.stats["errors"] += 1
-        for key in keys:
-            fut = self._inflight.pop(key, None)
-            if fut is not None and not fut.done():
-                fut.set_exception(exc)
+        self._resolve(keys, itertools.repeat(exc))
+
+    def _resolve(self, keys: list, values) -> None:
+        """Fill each waiter's pending slot with its point's value, a pair
+        or a failure, then wake each job touched, once."""
+        touched = {}
+        inflight = self._inflight
+        for key, value in zip(keys, values):
+            for job, slot in inflight.pop(key, ()):
+                slots = job._slots
+                if slots[slot] is None:
+                    slots[slot] = value
+                    job.done += 1
+                    touched[job] = None
+        for job in touched:
+            job._settle()
+        if not inflight:
+            self._idle.set()
 
     def _snapshot(self) -> None:
-        entries = []
-        for key, pair in self.cache.items():
-            ident = self._families_by_fp.get(key.fingerprint)
-            if ident is not None:
-                entries.append((ident[0], ident[1], key, pair))
-        self._persist.snapshot(entries)
+        families = self._families_by_fp
+        self._persist.snapshot(
+            (*families[key.fingerprint], key, pair)
+            for key, pair in self.cache.items()
+            if key.fingerprint in families
+        )
 
 
 def serve_sweep(

@@ -37,7 +37,7 @@ from ..sim.sweep import grid_map
 from .protocol import ServeClient, start_tcp_server
 from .registry import build
 from .server import (
-    _SHARD_MACHINE,
+    _SHARD_SCALAR,
     ServeConfig,
     SimulationServer,
     build_latency,
@@ -96,7 +96,7 @@ async def _smoke(n_o: int, burst: int) -> dict:
         flood_points = [
             {"L": 8.0 * (i + 1), "o": 1.0, "g": 4.0 if i % 2 == 0 else 2.0,
              "P": 8}
-            for i in range(2 * _SHARD_MACHINE)
+            for i in range(2 * _SHARD_SCALAR)
         ]
         want_sweep = _expected("bcast_tree", {"k": 8}, sweep_points, "compiled")
         want_flood = _expected("flood", {"k": 6}, flood_points, "machine")

@@ -14,6 +14,9 @@ GRID = [
     LogPParams(L=5, o=3, g=1, P=4),
     LogPParams(L=12, o=3, g=3, P=6),
     LogPParams(L=1.3, o=0.44, g=0.89, P=4),  # the CM-5 calibration
+    # g above the round trip 2L + 4o = 8: a probe that waits out only a
+    # round trip before its timed Send would time a gap wait too.
+    LogPParams(L=2, o=1, g=12, P=4),
 ]
 
 

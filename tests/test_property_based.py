@@ -8,7 +8,7 @@ latency bound, and the capacity constraint.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import LogPParams
@@ -70,6 +70,15 @@ def random_traffic(draw):
         r: draw(st.integers(0, 15)) for r in range(p.P)
     }
     return p, msgs, computes
+
+
+#: A case where the capacity-off run finishes later (see
+#: ``test_capacity_off_can_finish_later``).
+CAPACITY_ANOMALY = (
+    LogPParams(L=2, o=1, g=4, P=4),
+    [(1, 2), (3, 1), (2, 0), (0, 1), (0, 2), (1, 0)],
+    {0: 1, 1: 0, 2: 2, 3: 0},
+)
 
 
 def traffic_programs(p, msgs, computes):
@@ -134,12 +143,44 @@ class TestSimulatorSemantics:
 
     @SLOW
     @given(random_traffic())
-    def test_capacity_off_never_slower(self, traffic):
+    @example(CAPACITY_ANOMALY)
+    def test_capacity_off_changes_nothing_without_a_stall(self, traffic):
+        """With the capacity constraint off no stall is ever recorded,
+        and a run that records none with it on has the same makespan.
+        After a stall the two greedy schedules may order a later tie
+        differently, either way (see the test below)."""
         p, msgs, computes = traffic
         with_cap = run_programs(p, traffic_programs(p, msgs, computes))
         machine = LogPMachine(p, enforce_capacity=False)
         without = machine.run(traffic_programs(p, msgs, computes))
-        assert without.makespan <= with_cap.makespan + 1e-9
+        assert without.total_stall_time == 0 and not without.stall_events
+        if not with_cap.stall_events:
+            assert without.makespan == with_cap.makespan
+
+    def test_capacity_off_can_finish_later(self):
+        """A greedy-schedule anomaly, not a machine bug: both runs obey
+        every rule, and the event sequence orders a tie.
+
+        With capacity on (capacity 1), rank 0's first send stalls one
+        cycle, since rank 1 already has a message in flight.  This puts
+        its second send's activation after the arrival of 2->0 at
+        t = 5, so rank 0 receives 2->0 first (5-6); its receive gap
+        opens at 9, and it receives 1->0 at 9-10.  With capacity off,
+        the send wins the tie at t = 5, the receive of 2->0 slips to
+        6-7, and g = 4 pushes 1->0 to 10-11.
+        """
+        p, msgs, computes = CAPACITY_ANOMALY
+        with_cap = run_programs(p, traffic_programs(p, msgs, computes))
+        machine = LogPMachine(p, enforce_capacity=False)
+        without = machine.run(traffic_programs(p, msgs, computes))
+        validate_schedule(
+            with_cap.schedule, exact_latency=True
+        ).raise_if_invalid()
+        validate_schedule(
+            without.schedule, exact_latency=True, check_capacity=False
+        ).raise_if_invalid()
+        assert with_cap.total_stall_time == 1.0
+        assert (with_cap.makespan, without.makespan) == (10.0, 11.0)
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,8 @@ it.
 
 import asyncio
 import json
+import sys
+import threading
 
 import pytest
 
@@ -162,7 +164,7 @@ class TestPooledServing:
         from repro.sim.supervise import SupervisedPool
 
         S = server_mod._SHARD_COMPILED
-        S_machine = server_mod._SHARD_MACHINE
+        S_machine = server_mod._SHARD_SCALAR
         maps = []  # items (shards) per SupervisedPool.map call
         real_map = SupervisedPool.map
 
@@ -244,6 +246,56 @@ class TestPooledServing:
         stats = _serve(run())
         assert stats["batches"] == len(table)
         assert stats["sharded_batches"] == len(table) - 1
+
+
+    def test_a_latency_batch_shards_on_the_pool(self, monkeypatch):
+        """A batch with a latency spec is priced like a machine batch:
+        its points take the scalar evaluator, so ``2 * _SHARD_SCALAR``
+        of them make two shards."""
+        from repro.serve import server as server_mod
+        from repro.serve.server import build_latency, canonical_latency
+        from repro.sim.supervise import SupervisedPool
+
+        S = server_mod._SHARD_SCALAR
+        maps = []
+        real_map = SupervisedPool.map
+
+        def spy(self, fn, items, *args, **kwargs):
+            maps.append(len(items))
+            return real_map(self, fn, items, *args, **kwargs)
+
+        monkeypatch.setattr(SupervisedPool, "map", spy)
+        table = [
+            ("bcast_tree", {"k": 7}, "compiled",
+             {"kind": "jittered", "L": 6.0, "scale_frac": 0.1, "seed": 11}),
+            ("stream", {"k": 8}, "auto",
+             {"kind": "uniform", "L": 5.0, "lo_frac": 0.25, "seed": 3}),
+        ]
+        points = [
+            LogPParams(L=6.0, o=0.5 + 0.25 * i, g=4.0, P=4)
+            for i in range(2 * S)
+        ]
+
+        async def run():
+            config = ServeConfig(workers=2, batch_window=0.0)
+            async with SimulationServer(config) as server:
+                served = [
+                    await server.run_request(SweepRequest.make(
+                        program, points, args=args, backend=backend,
+                        latency=latency,
+                    ))
+                    for program, args, backend, latency in table
+                ]
+                return served, server.stats_snapshot()
+
+        served, stats = _serve(run())
+        for got, (program, args, backend, latency) in zip(served, table):
+            assert got == grid_map(
+                build(program, args, None), points, backend=backend,
+                latency=build_latency(canonical_latency(latency)),
+            ), program
+        assert maps == [2, 2]
+        assert stats["sharded_batches"] == 2
 
 
 class TestDedupAndProgress:
@@ -1002,6 +1054,167 @@ class TestOneStepPerHit:
         assert again.sources["cache"] == 4
 
 
+def _hold_first_batch(monkeypatch, evaluate=None):
+    """Hold the first batch's evaluation until ``release`` is set;
+    ``started`` is set once it is held.  ``evaluate`` replaces the real
+    ``_eval_batch`` for every batch."""
+    from repro.serve import server as server_mod
+
+    started, release = threading.Event(), threading.Event()
+    evaluate = evaluate or server_mod._eval_batch
+
+    def held(*args, **kwargs):
+        if not started.is_set():
+            started.set()
+            release.wait(30)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(server_mod, "_eval_batch", held)
+    return started, release
+
+
+def _count_server_futures(made: list) -> None:
+    """Note each future the running loop makes for ``serve/server.py``
+    code (asyncio's own, for sleeps and threads, are not counted)."""
+    from repro.serve import server as server_mod
+
+    loop = asyncio.get_running_loop()
+    real = loop.create_future
+
+    def counting():
+        caller = sys._getframe(1).f_code
+        if caller.co_filename == server_mod.__file__:
+            made.append(caller.co_name)
+        return real()
+
+    loop.create_future = counting
+
+
+class TestOneFuturePerJob:
+    """Points in flight keep ``(job, slot)`` waiters; a job makes one
+    future at most, and only when ``wait()`` has to wait."""
+
+    POINTS = [
+        LogPParams(L=6.0, o=0.25 + 0.01 * i, g=4.0, P=4) for i in range(400)
+    ]
+
+    def test_a_cold_job_makes_at_most_one_future(self):
+        async def run():
+            made = []
+            _count_server_futures(made)
+            config = ServeConfig(workers=1, batch_window=0.0)
+            async with SimulationServer(config) as server:
+                job = await server.submit(
+                    SweepRequest.make("bcast_tree", self.POINTS, args={"k": 6})
+                )
+                at_submit = list(made)
+                results = await job.wait()
+            return at_submit, made, results, job.sources
+
+        at_submit, made, results, sources = _serve(run())
+        assert at_submit == []
+        assert len(made) <= 1
+        assert sources == {"cache": 0, "inflight": 0, "computed": 400}
+        assert results == grid_map(
+            build("bcast_tree", {"k": 6}, None), self.POINTS, backend="auto"
+        )
+
+    def test_a_deadline_fails_the_job_without_a_future(self, monkeypatch):
+        from repro.serve import JobDeadlineError
+
+        started, release = _hold_first_batch(monkeypatch)
+
+        async def run():
+            made = []
+            config = ServeConfig(workers=1, batch_window=0.0)
+            async with SimulationServer(config) as server:
+                _count_server_futures(made)
+                job = await server.submit(SweepRequest.make(
+                    "bcast_tree", self.POINTS, args={"k": 6}, deadline=0.05,
+                ))
+                await asyncio.to_thread(started.wait, 30)
+                await asyncio.sleep(0.2)
+                expired = job.finished
+                with pytest.raises(JobDeadlineError):
+                    await job.wait()
+                by_expiry = list(made)
+                release.set()  # the computation runs on; closing drains it
+            return expired, by_expiry, len(server.cache)
+
+        expired, by_expiry, cached = _serve(run())
+        assert expired
+        assert by_expiry == []
+        assert cached == 400
+
+    def test_wait_raises_the_first_failed_slot_in_submission_order(
+        self, monkeypatch
+    ):
+        def failing(program, args, seed, backend, latency, raw_pts, **kw):
+            raise ValueError(f"group of {raw_pts[0]}")
+
+        started, release = _hold_first_batch(monkeypatch, failing)
+        p1, p3 = O_SWEEP[0], O_SWEEP[1]
+
+        async def run():
+            config = ServeConfig(workers=1, batch_window=0.0)
+            async with SimulationServer(config) as server:
+                first = await server.submit(
+                    SweepRequest.make("stream", [p1], args={"k": 4})
+                )
+                await asyncio.to_thread(started.wait, 30)
+                # p3 opens a second group, which evaluates (and fails)
+                # after the first; p1 waits on the first group.
+                second = await server.submit(
+                    SweepRequest.make("stream", [p3, p1], args={"k": 4})
+                )
+                release.set()
+                with pytest.raises(ValueError) as one:
+                    await first.wait()
+                with pytest.raises(ValueError) as two:
+                    await second.wait()
+                return str(one.value), str(two.value), second.sources
+
+        one, two, sources = _serve(run())
+        assert one == f"group of {point_key(p1)}"
+        assert two == f"group of {point_key(p3)}"
+        assert sources == {"cache": 0, "inflight": 1, "computed": 1}
+
+    def test_a_streamed_two_group_job_gets_a_progress_frame_per_group(
+        self, monkeypatch
+    ):
+        started, release = _hold_first_batch(monkeypatch)
+        points = [
+            {"L": 6.0, "o": 1.0 + 0.5 * i, "g": 4.0, "P": 4} for i in range(3)
+        ]
+        second = points[1:] + points[:1]
+
+        async def exchange(server, reader, writer):
+            writer.write(_submit_line(1, "stream", points[:1], {"k": 4}))
+            await writer.drain()
+            await asyncio.to_thread(started.wait, 30)
+            writer.write(
+                _submit_line(2, "stream", second, {"k": 4}, stream=True)
+            )
+            await writer.drain()
+            # accepted (1), accepted (2) and progress 0 (2): the second
+            # job is in before the first group resolves.
+            frames = await _frames(reader, 3)
+            release.set()
+            return frames + await _frames(reader, 4)
+
+        frames = _serve(_tcp_session(exchange))
+        mine = [f for f in frames if f["tag"] == 2]
+        assert [(f["op"], f.get("done")) for f in mine] == [
+            ("accepted", None),
+            ("progress", 0),
+            ("progress", 1),
+            ("progress", 3),
+            ("result", None),
+        ]
+        assert mine[-1]["sources"] == {"cache": 0, "inflight": 1, "computed": 2}
+        assert mine[-1]["results"] == _wire_pairs("stream", {"k": 4}, second)
+
+
 class TestCacheKeyTuple:
     FIELDS = {
         "fingerprint": "fp",
@@ -1058,7 +1271,7 @@ class TestCacheKeyTuple:
         ]
         store = CachePersistence(str(tmp_path))
         for program, args, key, pair in entries:
-            store.record(program, args, key, pair)
+            store.record(program, args, [key], [pair])
         store.close()
         journaled = CachePersistence(str(tmp_path)).load()
         snap = CachePersistence(str(tmp_path))

@@ -28,6 +28,7 @@ import asyncio
 import contextlib
 import errno
 import io
+import json
 import math
 import os
 import time
@@ -146,7 +147,7 @@ class TestPersistenceUnit:
                 latency=None,
             )
             pair = (10.123456789 + i, 2.0 * i)
-            writer.record("bcast_tree", (("k", 6),), key, pair)
+            writer.record("bcast_tree", (("k", 6),), [key], [pair])
             entries.append(("bcast_tree", (("k", 6),), key, pair))
         writer.close()
         return entries
@@ -215,6 +216,150 @@ class TestPersistenceUnit:
         reader = CachePersistence(str(tmp_path))
         assert reader.load() == entries[:2]
         assert (tmp_path / CachePersistence.JOURNAL).read_text() == ""
+
+
+def _record_dict_line(program, args, key, pair) -> str:
+    """A record line as ``json.dumps`` writes the record dict."""
+    return json.dumps(
+        {
+            "p": program,
+            "a": [list(kv) for kv in args],
+            "fp": key.fingerprint,
+            "k": [
+                list(key.point),
+                key.seed,
+                key.backend,
+                None if key.latency is None else [
+                    list(x) if isinstance(x, tuple) else x
+                    for x in key.latency
+                ],
+            ],
+            "v": list(pair),
+        },
+        separators=(",", ":"),
+    ) + "\n"
+
+
+class TestGroupCommit:
+    """A computed group is journaled with one write and one flush, in
+    the same bytes as one ``json.dumps`` per record."""
+
+    JITTER = ("jittered", ("L", 6.0), ("scale_frac", 0.1), ("seed", 7))
+    UNIFORM = ("uniform", ("L", 6.0), ("lo_frac", 0.25), ("seed", -3))
+    NAN, INF = float("nan"), float("inf")
+    #: (program, args, seed, backend, latency, [(point, pair)]): each
+    #: row one batch, its points sharing the row's shape.
+    BATCHES = [
+        ("bcast_tree", (("k", 6),), None, "compiled", None, [
+            ((4.0, 0.5, 2.0, 8, None), (10.123456789, 0.0)),
+            ((-0.0, 5e-324, 1e300, 8, None), (-0.0, 5e-324)),
+            ((6.0, 1.0, 4.0, 2048, None), (1e300, 2.0)),
+        ]),
+        ("loggp_bcast", (("k", 4), ("m", 2.5)), 0, "auto", None, [
+            ((6.0, 1.0, 4.0, 8, 0.25), (31.5, 1.0)),
+            ((6.0, 1.0, 4.0, 8, 2.0), (1.1, 2.2)),
+        ]),
+        ("stream", (("k", 16),), -7, "compiled", JITTER, [
+            ((6.0, 0.1 + 0.2, 4.0, 4, None), (INF, 0.0)),
+            ((6.0, 1.0, 4.0, 4, None), (-INF, NAN)),
+        ]),
+        ("flöde", (("name", "ß"),), 2**40, "machine", UNIFORM, [
+            ((8.0, 1.0, 4.0, 16, None), (123456789.0, 1e-7)),
+        ]),
+    ]
+
+    def _entries(self, batch):
+        from repro.serve.cache import CacheKey
+
+        program, args, seed, backend, latency, rows = batch
+        return [
+            (program, args,
+             CacheKey(f"fp-{program}", point, seed, backend, latency), pair)
+            for point, pair in rows
+        ]
+
+    def test_lines_are_json_dumps_of_the_record(self, tmp_path):
+        persist = CachePersistence(str(tmp_path))
+        entries = []
+        for batch in self.BATCHES:
+            rows = self._entries(batch)
+            persist.record(
+                batch[0], batch[1], [k for _p, _a, k, _v in rows],
+                [v for _p, _a, _k, v in rows],
+            )
+            entries += rows
+        want = [_record_dict_line(*entry) for entry in entries]
+        journal = (tmp_path / CachePersistence.JOURNAL).read_text()
+        assert journal.splitlines(keepends=True) == want
+        # The snapshot interleaves shapes, as an LRU order does.
+        entries = entries[::2] + entries[1::2]
+        persist.snapshot(entries)
+        persist.close()
+        snapshot = (tmp_path / CachePersistence.SNAPSHOT).read_text()
+        assert snapshot.splitlines(keepends=True) == [
+            _record_dict_line(*entry) for entry in entries
+        ]
+
+    def test_a_batch_is_one_write_and_one_flush(self, tmp_path, monkeypatch):
+        calls = []
+
+        class Counting(io.BufferedWriter):
+            def write(self, data):
+                calls.append("write")
+                return super().write(data)
+
+            def flush(self):
+                calls.append("flush")
+                return super().flush()
+
+        def fake_open(path, mode="r", **kw):
+            return Counting(io.FileIO(path, mode))
+
+        monkeypatch.setattr(repro.serve.cache, "open", fake_open, raising=False)
+        persist = CachePersistence(str(tmp_path))
+        rows = self._entries(
+            ("bcast_tree", (("k", 6),), None, "compiled", None, [
+                ((4.0 + i, 0.5, 2.0, 8, None), (10.0 + i, 0.5))
+                for i in range(64)
+            ])
+        )
+        persist.record(
+            "bcast_tree", (("k", 6),), [k for _p, _a, k, _v in rows],
+            [v for _p, _a, _k, v in rows],
+        )
+        assert calls == ["write", "flush"]
+        assert persist.stats["journal_records"] == 64
+        persist.close()
+        assert _lines(tmp_path / CachePersistence.JOURNAL) == 64
+
+    def test_nothing_is_cached_or_resolved_before_the_flush(
+        self, tmp_path, monkeypatch
+    ):
+        seen = []
+        real = CachePersistence.record
+
+        def spy(persist, program, args, keys, pairs):
+            seen.append((
+                [key in server.cache._store for key in keys],
+                job.done,
+            ))
+            return real(persist, program, args, keys, pairs)
+
+        monkeypatch.setattr(CachePersistence, "record", spy)
+
+        async def run():
+            nonlocal server, job
+            config = ServeConfig(
+                batch_window=0.0, workers=1, cache_dir=str(tmp_path)
+            )
+            async with SimulationServer(config) as server:
+                job = await server.submit(_request())
+                return await job.wait()
+
+        server = job = None
+        results = asyncio.run(run())
+        assert seen == [([False] * len(POINTS), 0)]
+        assert len(results) == len(POINTS)
 
 
 #: Serves two requests on a cache dir with the ``repro`` found on
@@ -359,7 +504,7 @@ class TestCompaction:
         writer = CachePersistence(str(tmp_path))
         for i in range(F):  # a journal at its bound, left by a kill -9
             key = CacheKey(fp, (40.0 + i, 1.0, 2.0, 8, None), None, "compiled")
-            writer.record("bcast_tree", (("k", 6),), key, (50.5 + i, 1.0))
+            writer.record("bcast_tree", (("k", 6),), [key], [(50.5 + i, 1.0)])
         writer.close()
 
         async def run():
@@ -384,9 +529,9 @@ class TestCompaction:
 
 
 class _FillingDisk(io.FileIO):
-    """A file whose disk fills during write number ``whole + 1``: that
-    write lands half its bytes and the next raises ENOSPC, as write(2)
-    does on a full disk."""
+    """A file on a disk with room for ``whole`` more lines: the write
+    that reaches past them lands those lines and half of the next, and
+    the next write raises ENOSPC, as write(2) does on a full disk."""
 
     def __init__(self, path, mode, whole):
         super().__init__(path, mode)
@@ -396,11 +541,17 @@ class _FillingDisk(io.FileIO):
     def write(self, data):
         if self.full:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        if self.whole == 0:
-            self.full = True
-            return super().write(bytes(data)[: len(data) // 2])
-        self.whole -= 1
-        return super().write(data)
+        data = bytes(data)
+        end = 0
+        while self.whole and (nl := data.find(b"\n", end)) >= 0:
+            end = nl + 1
+            self.whole -= 1
+        if self.whole:
+            return super().write(data)
+        self.full = True
+        nl = data.find(b"\n", end)
+        torn = len(data) if nl < 0 else nl
+        return super().write(data[: end + (torn - end) // 2])
 
 
 def _fill_disk(monkeypatch, suffix: str, whole: int) -> None:
@@ -468,6 +619,33 @@ class TestPersistenceWriteFaults:
         loaded = reader.load()
         assert reader.stats["torn_tails"] == 0
         assert [pair for _p, _a, _k, pair in loaded] == results
+
+    def test_a_journal_that_cannot_open_fails_the_group(self, tmp_path):
+        """The cache dir removed before the first append: opening the
+        journal fails, the group fails with that error, and the batcher
+        serves the next request once the dir is back."""
+        cache_dir = tmp_path / "cache"
+
+        async def run():
+            config = ServeConfig(
+                batch_window=0.0, workers=1, cache_dir=str(cache_dir)
+            )
+            async with _undrained(config) as server:
+                os.rmdir(cache_dir)
+                with pytest.raises(FileNotFoundError):
+                    await server.run_request(_request())
+                os.makedirs(cache_dir)
+                job = await server.submit(_request())
+                results = await job.wait()
+                journaled = _lines(cache_dir / CachePersistence.JOURNAL)
+                return results, job.sources, server.stats_snapshot(), journaled
+
+        bounded = asyncio.wait_for(run(), timeout=60)
+        results, sources, stats, journaled = asyncio.run(bounded)
+        assert len(results) == len(POINTS)
+        assert sources == {"cache": 0, "inflight": 0, "computed": len(POINTS)}
+        assert stats["errors"] == 1
+        assert journaled == len(POINTS)
 
     def test_failed_snapshot_keeps_the_old_files_and_retries(
         self, tmp_path, monkeypatch
