@@ -8,7 +8,8 @@ on, implemented against the simulator's program API:
 
 * **send overhead `o`** — time a processor is engaged by one warm `Send`
   with nothing else to do (measured directly: clock before and after,
-  once an untimed `Send` has gone and the gap since it has passed);
+  once an untimed `Send` has gone; the median of several such `Send`s,
+  each started once the gap since the last one has passed);
 * **round trip** — an empty request/reply gives `RTT = 2L + 4o`, hence
   `L = (RTT - 4o)/2` (rounds, too, start with the gap passed);
 * **effective gap** — the *receiver-side* drain rate under saturation:
@@ -119,18 +120,22 @@ def _after_gap(sent: float, gap: float):
 
 
 class _OverheadProbe:
-    """Clock one warm Send on an otherwise idle processor.
+    """Send overhead: the median of ``reps`` warm Sends, each timed on
+    its own, on an otherwise idle processor.
 
     On a live host the first Send pays for start-up, so an untimed Send
-    goes first and is acknowledged.  The clock starts once the
-    effective gap ``gap`` has passed since that Send began, so the
-    timed interval holds ``o`` and no gap wait.
+    goes first and is acknowledged.  Each timed Send starts once the
+    effective gap ``gap`` has passed since the last one began, so the
+    timed interval holds ``o`` and no gap wait.  One Send on its own is
+    too noisy on a live host; the median of several is not.
     """
 
-    def __init__(self, gap: float = 0.0):
+    def __init__(self, reps: int = 4, gap: float = 0.0):
+        self.reps = reps
         self.gap = gap
 
     def __call__(self, rank: int, P: int):
+        reps = self.reps
         gap = self.gap
 
         def run():
@@ -138,14 +143,18 @@ class _OverheadProbe:
                 sent = yield Now()
                 yield Send(1, tag="warm")
                 yield Recv(tag="ack")
-                t0 = yield from _after_gap(sent, gap)
-                yield Send(1, tag="o")
-                t1 = yield Now()
-                return t1 - t0
+                times = []
+                for i in range(reps):
+                    sent = yield from _after_gap(sent, gap)
+                    yield Send(1, tag=("o", i))
+                    t1 = yield Now()
+                    times.append(t1 - sent)
+                return statistics.median(times)
             elif rank == 1:
                 yield Recv(tag="warm")
                 yield Send(0, tag="ack")
-                yield Recv(tag="o")
+                for i in range(reps):
+                    yield Recv(tag=("o", i))
             return None
 
         return run()
@@ -277,8 +286,8 @@ def _value0(runner, factory):
     return runner.run_values(factory)[0]
 
 
-def _measure_overhead(runner, gap: float) -> float:
-    return _value0(runner, _OverheadProbe(gap))
+def _measure_overhead(runner, gap: float, reps: int = 4) -> float:
+    return _value0(runner, _OverheadProbe(reps, gap))
 
 
 def _measure_round_trip(runner, gap: float, reps: int = 4) -> float:

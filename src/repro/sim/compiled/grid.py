@@ -38,11 +38,18 @@ module exploits that:
    single-assignment dataflow, so commuting executions produce the
    identical instruction stream and results.
 2. **Replay.**  :func:`_replay` evaluates the tape's instruction list
-   over numpy arrays of grid points and checks every constraint per
-   point.  A point that satisfies all constraints provably executes the
-   recorded handler sequence up to commuting interleavings, so its
-   replayed makespan and stall totals are *exactly* what the float
-   domain — and therefore the machine — would produce there.
+   over numpy arrays of grid points and checks the constraints per
+   point, dropping a point at its first failed one: first the rows
+   that need no code (capacity, long-message gap), then the binary
+   constraints in record order, in blocks that grow to a cache-sized
+   budget, running the code only as far as the next block reads.  A
+   point the tape does not cover usually fails early in record order,
+   so it costs a prefix of the code and the checks, and a tape no
+   point satisfies stops there.  A point that satisfies all
+   constraints provably executes the recorded handler sequence up to
+   commuting interleavings, so its replayed makespan and stall totals
+   are *exactly* what the float domain — and therefore the machine —
+   would produce there.
 3. **Re-reference, while tapes pay.**  Points that violate a
    constraint lie in a different control-flow region: the first such
    point becomes the next recording reference.  Recording stops at the
@@ -54,7 +61,9 @@ module exploits that:
    the ``tape_cost`` entry of :mod:`repro.bench`, which prices a
    recording plus a replay in scalar evaluations per shape: the
    break-even is the smallest price, the window the largest price over
-   it (see their comment).  No clock is read, so tape and fallback
+   it (see their comment, which also says why the cheaper prices of
+   the column-dropping replay left them as they were).  No clock is
+   read, so tape and fallback
    counts repeat exactly.  The worst case is a few low-yield
    references ahead of a large region in submission order: the whole
    region then runs scalar.  The fallback changes cost only, never
@@ -98,7 +107,7 @@ runs across fuzz-generated programs and parameter grids.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -176,9 +185,10 @@ class _TapeArith:
 
     def _start_tape(self) -> None:
         self.tape = _Tape()
-        #: slot -> slots it is >= at *every* parameter point (the add
-        #: chain with nonnegative terms / both max operands); used to
-        #: prune structurally-implied <= constraints.
+        #: slot -> the slots it is >= at *every* parameter point: the
+        #: operand of an add with a nonnegative term, or both operands
+        #: of a max.  A ``<=`` constraint from one of them to the slot
+        #: is implied and not recorded (:meth:`_con2`).
         self._anc: dict[int, tuple] = {}
         self._con_seen: set = set()
         self._lits: dict[float, int] = {}
@@ -227,36 +237,17 @@ class _TapeArith:
         self.tape.code.append((_I_STALL, out, acc[1], now[1], start[1]))
         return (acc[0] + (now[0] - start[0]), out)
 
-    def _implied(self, a: int, b: int) -> bool:
-        """``slots[a] <= slots[b]`` at every point, structurally."""
-        if a == b:
-            return True
-        anc = self._anc
-        t = anc.get(b)
-        if t is None:
-            return False
-        if a in t:  # depth-1 hit: the overwhelmingly common case
-            return True
-        stack = list(t)
-        budget = 12
-        while stack:
-            s = stack.pop()
-            if s == a:
-                return True
-            budget -= 1
-            if budget <= 0:
-                return False
-            stack.extend(anc.get(s, ()))
-        return False
-
     def _con2(self, kind: int, a: int, b: int) -> None:
-        """Append a binary constraint, deduplicated and pruned."""
+        """Append a binary constraint, deduplicated; a ``<=`` that holds
+        at every point (``a`` is ``b`` or one step below it) is pruned.
+        Deeper implications are recorded: :func:`_replay` checks them
+        for less than a walk of the ``_anc`` chains would cost."""
         key = (kind << 60) | (a << 30) | b
         seen = self._con_seen
         if key in seen:
             return
         seen.add(key)
-        if kind == _C_LE and self._implied(a, b):
+        if kind == _C_LE and (a == b or a in self._anc.get(b, ())):
             return
         self.tape.cons.append((kind, a, b))
 
@@ -563,26 +554,16 @@ def _term_values(term: int, k, arrs):
     return D[k]  # _T_DRAW: k is the draw-stream index
 
 
-#: Constraint rows batched per fancy-indexing chunk — bounds the
-#: (rows x npts) comparison temporaries to a few MB.
-_CONS_CHUNK = 512
+def _run_code(code, S, lo: int, hi: int, arrs) -> None:
+    """Execute ``code[lo:hi]`` into rows ``lo..hi-1`` of ``S``.
 
-
-def _replay(tape: _Tape, arrs, caps):
-    """Evaluate ``tape`` at every column of ``arrs``.
-
-    ``arrs`` is ``(L, o, g, send_interval, G, D)``: five per-column
-    parameter arrays and the draw inputs (``D[k]`` is draw ``k``'s
-    value, a scalar or a per-column row; ``None`` without draws).
-    Returns ``(ok, makespans, stalls)`` arrays; ``ok`` marks the columns
-    satisfying every constraint.
+    Instruction ``i`` writes slot ``i`` (every tape allocates a slot
+    only as it appends the instruction that computes it), and its
+    inputs are earlier slots, so a prefix of the code fills a prefix of
+    the rows.  ``out=`` targets write rows in place, so the loop
+    allocates no temporaries.
     """
-    npts = len(caps)
-    # One (slot, point) matrix; ``out=`` targets write rows in place so
-    # the code loop allocates no temporaries.  Slots are SSA, so an
-    # instruction's output row never aliases its inputs.
-    S = np.empty((tape.n_slots, npts), dtype=float)
-    for ins in tape.code:
+    for ins in code[lo:hi]:
         op = ins[0]
         if op == _I_ADD:
             np.add(
@@ -598,48 +579,124 @@ def _replay(tape: _Tape, arrs, caps):
         else:  # _I_STALL
             np.subtract(S[ins[3]], S[ins[4]], out=S[ins[1]])
             np.add(S[ins[2]], S[ins[1]], out=S[ins[1]])
-    mk = S[tape.makespan_slot].copy()
-    st = S[tape.stall_slot].copy()
-    # Bucket the constraints by kind, then check each bucket as a
-    # handful of matrix comparisons instead of one python-dispatched
-    # array op per constraint — the replay hot path for large tapes.
-    by_kind: list = [[] for _ in range(7)]
+
+
+def _check(kind: int, a, b):
+    """Binary constraint ``kind`` over gathered ``(rows, cols)`` slots."""
+    if kind == _C_LE:
+        return a <= b
+    if kind == _C_LT:
+        return a < b
+    if kind == _C_EQ:
+        return a == b
+    if kind == _C_NE:
+        return a != b
+    return (a < b) & (a >= b - _PAST_TOL)  # _C_CLAMP
+
+
+#: Binary constraints checked in the first block of :func:`_replay`;
+#: each later block doubles, up to ``_BLOCK_ELEMS`` (rows x columns)
+#: elements, so a block's gathered operands stay cache-sized.
+_BLOCK_FIRST = 8
+_BLOCK_ELEMS = 1 << 16
+
+
+def _replay(tape: _Tape, arrs, caps):
+    """Evaluate ``tape`` at every column of ``arrs``.
+
+    ``arrs`` is ``(L, o, g, send_interval, G, D)``: five per-column
+    parameter arrays and the draw inputs (``D[k]`` is draw ``k``'s
+    value: a scalar, or row ``k`` of a per-column draws matrix; ``None``
+    without draws).  Returns ``(ok, makespans, stalls)`` arrays; ``ok``
+    marks the columns satisfying every constraint, and the makespans
+    and stalls are filled at those columns only.
+
+    A column leaves the replay with the block that holds its first
+    failed constraint.  The rows that need no code (``_C_CAP``,
+    ``_C_GLPOS``) form the first block; the binary constraints follow
+    in record order, where a column the tape does not cover usually
+    fails early, in blocks that start at ``_BLOCK_FIRST`` rows and
+    double up to ``_BLOCK_ELEMS`` elements.  Before each block the code
+    runs only up to the highest slot the block reads; after it, the
+    failed columns leave the computed slot rows, the parameter arrays
+    and a per-column draws matrix.  The replay returns as soon as no
+    column is left; the columns that pass every block run the rest of
+    the code, up to the output slots.  Dropping a column never changes
+    another column's values: every instruction is elementwise.
+    """
+    npts = len(caps)
+    ok = np.zeros(npts, dtype=bool)
+    mk = np.zeros(npts)
+    st = np.zeros(npts)
+    *par, D = arrs
+    live = np.ones(npts, dtype=bool)
+    rows = []
     for con in tape.cons:
-        by_kind[con[0]].append(con)
-    ok = np.ones(npts, dtype=bool)
-    for kind in (_C_LE, _C_LT, _C_EQ, _C_NE, _C_CLAMP):
-        rows = by_kind[kind]
-        for i in range(0, len(rows), _CONS_CHUNK):
-            chunk = rows[i : i + _CONS_CHUNK]
-            a = S[np.fromiter((c[1] for c in chunk), dtype=np.intp)]
-            b = S[np.fromiter((c[2] for c in chunk), dtype=np.intp)]
-            if kind == _C_LE:
-                res = a <= b
-            elif kind == _C_LT:
-                res = a < b
-            elif kind == _C_EQ:
-                res = a == b
-            elif kind == _C_NE:
-                res = a != b
-            else:  # _C_CLAMP
-                res = (a < b) & (a >= b - _PAST_TOL)
-            ok &= res.all(axis=0)
-            if not ok.any():
+        kind = con[0]
+        if kind == _C_CAP:
+            live &= (con[1] >= caps) == con[2]
+        elif kind == _C_GLPOS:
+            live &= (par[4] > 0) == con[1]
+        else:
+            rows.append(con)
+    cols = np.flatnonzero(live)  # the columns still in the replay
+    if not len(cols):
+        return ok, mk, st
+    drawn = isinstance(D, np.ndarray)  # a per-column draws matrix
+    if len(cols) < npts:
+        par = [p[cols] for p in par]
+        if drawn:
+            D = D[:, cols]
+    S = np.empty((tape.n_slots, len(cols)))
+    done = 0  # S[:done] holds code[:done]'s outputs
+    code = tape.code
+    if rows:
+        K = np.array(rows, dtype=np.intp)
+        need = np.maximum.accumulate(np.maximum(K[:, 1], K[:, 2])) + 1
+        # Per kind: its rows' record positions, operands, and how many
+        # of them are checked.
+        groups = []
+        for kind in (_C_LE, _C_LT, _C_EQ, _C_NE, _C_CLAMP):
+            at = np.flatnonzero(K[:, 0] == kind)
+            if len(at):
+                groups.append([kind, at.tolist(), K[at, 1], K[at, 2], 0])
+        n = len(rows)
+        i = 0
+        step = _BLOCK_FIRST
+        while i < n:
+            j = min(n, i + min(step, max(1, _BLOCK_ELEMS // len(cols))))
+            step *= 2
+            top = int(need[j - 1])
+            if top > done:
+                _run_code(code, S, done, top, (*par, D))
+                done = top
+            good = None
+            for grp in groups:
+                kind, pos, a, b, lo = grp
+                hi = bisect_left(pos, j, lo)
+                if hi > lo:
+                    grp[4] = hi
+                    res = _check(kind, S[a[lo:hi]], S[b[lo:hi]]).all(axis=0)
+                    good = res if good is None else good & res
+            i = j
+            if good.all():
+                continue
+            keep = np.flatnonzero(good)
+            if not len(keep):
                 return ok, mk, st
-    cap_rows = by_kind[_C_CAP]
-    if cap_rows:
-        counts = np.fromiter(
-            (c[1] for c in cap_rows), dtype=np.int64
-        )
-        observed = np.fromiter(
-            (c[2] for c in cap_rows), dtype=bool
-        )
-        res = (counts[:, None] >= caps[None, :]) == observed[:, None]
-        ok &= res.all(axis=0)
-    for con in by_kind[_C_GLPOS]:
-        ok &= (arrs[4] > 0) == con[1]
-        if not ok.any():
-            break
+            cols = cols[keep]
+            par = [p[keep] for p in par]
+            if drawn:
+                D = D[:, keep]
+            kept = np.empty((tape.n_slots, len(keep)))
+            np.take(S[:done], keep, axis=1, out=kept[:done], mode="clip")
+            S = kept
+    top = max(tape.makespan_slot, tape.stall_slot) + 1
+    if top > done:
+        _run_code(code, S, done, top, (*par, D))
+    ok[cols] = True
+    mk[cols] = S[tape.makespan_slot]
+    st[cols] = S[tape.stall_slot]
     return ok, mk, st
 
 
@@ -649,17 +706,24 @@ def _replay(tape: _Tape, arrs, caps):
 #: columns saves ``y`` scalar evaluations and costs one recording plus
 #: one replay over the rest of the grid, so it pays when ``y`` exceeds
 #: that cost counted in scalar evaluations.  ``python -m repro.bench
-#: --only tape_cost`` measures this ratio per shape; three runs of 15
-#: reps on a 2-vCPU host gave 5.2-6.1 (folded broadcast, P = 64),
-#: 6.6-7.2 (folded, P = 2,048), 8.1-8.6 (jittered seed grid), 8.4-9.8
-#: (``stream``, P = 6) and 11.0-12.4 (``bcast_tree`` o-sweep, P = 8).
-#: ``_BREAK_EVEN`` is the smallest ratio rounded down, 5: a window
-#: averaging fewer columns a tape lost at every measured shape.
-#: ``_YIELD_WINDOW`` is the largest ratio over ``_BREAK_EVEN``,
-#: rounded up: ceil(12.4 / 5) = 3, so recording goes on only while the
-#: window covered more columns (15) than one recording costs at any
-#: measured shape.  Counts, not times: the same grid always records the
-#: same tapes.  ``_BREAK_EVEN = 0`` switches the rule off.
+#: --only tape_cost`` measures this ratio per shape.  The constants
+#: were set from three runs of 15 reps on a 2-vCPU host that gave
+#: 5.2-6.1 (folded broadcast, P = 64), 6.6-7.2 (folded, P = 2,048),
+#: 8.1-8.6 (jittered seed grid), 8.4-9.8 (``stream``, P = 6) and
+#: 11.0-12.4 (``bcast_tree`` o-sweep, P = 8): ``_BREAK_EVEN`` is the
+#: smallest ratio rounded down, 5, and ``_YIELD_WINDOW`` the largest
+#: ratio over it, rounded up, ceil(12.4 / 5) = 3.  Since replay drops
+#: columns at their first failed constraint, three such runs on the
+#: same host give 2.7-2.9 (P = 64), 2.8-5.0 (P = 2,048), 5.5-7.9
+#: (seed grid), 3.0-4.5 (``stream``) and 6.7-7.8 (o-sweep).  The same
+#: rule would give 2 and ceil(7.9 / 2) = 4, but those values record
+#: tapes of two or three columns where each costs three to eight
+#: scalar evaluations (in perfbench's ``grid_sweep`` the ``lg_box``
+#: group records 40 tapes where 12 did, and throughput falls by a
+#: fifth), so the constants stay: 5 lies inside the new range, and
+#: the window's 15 columns still exceed the largest ratio.  Counts,
+#: not times: the same grid always records the same tapes.
+#: ``_BREAK_EVEN = 0`` switches the rule off.
 _YIELD_WINDOW = 3
 _BREAK_EVEN = 5
 #: The tape budget: :func:`_cover` records at most this many tapes per
@@ -701,12 +765,11 @@ def _cover(
     references included), recording stops.  Either way the uncovered
     columns get the exact ``ops.fallback``, so the rule moves cost,
     never values, and it counts columns, never time, so the same grid
-    always records the same tapes.  With ``_BREAK_EVEN`` = 5, the
-    smallest measured (record + replay) / scalar ratio rounded down,
-    and ``_YIELD_WINDOW`` = 3, the largest ratio over it rounded up,
-    recording goes on only while the window covered more columns than
-    one recording costs at any shape ``repro.bench``'s ``tape_cost``
-    measures (the comment above the constants gives the numbers).
+    always records the same tapes.  With ``_BREAK_EVEN`` = 5 and
+    ``_YIELD_WINDOW`` = 3, recording goes on only while the window
+    covered more columns than one recording costs at any shape
+    ``repro.bench``'s ``tape_cost`` measures (the comment above the
+    constants gives the numbers).
 
     Worst case: ``_YIELD_WINDOW`` low-yield references that come
     before a large region in submission order stop recording, and the

@@ -23,6 +23,7 @@ fabrics compile.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.algorithms.broadcast import binomial_tree, pipelined_broadcast_program
@@ -779,3 +780,216 @@ def test_compile_at_requires_factory():
     gens = [_now_prog(r, 2) for r in range(2)]
     with pytest.raises(CompileError, match="factory"):
         compile_at(gens, 2, LogPParams(L=4, o=1, g=2, P=2))
+
+
+# ----------------------------------------------------------------------
+# The column-dropping replay against a check-everything oracle
+# ----------------------------------------------------------------------
+
+
+def _replay_every_constraint(tape, arrs, caps):
+    """The replay that drops no column: the whole code at every column,
+    then every constraint at every column, in 512-row chunks per kind.
+
+    Returns ``(ok, makespans, stalls, first_fail)``, where
+    ``first_fail[c]`` is the record-order position, among the binary
+    constraints, of column ``c``'s first failed one (-1: none).
+    """
+    G = compiled_grid
+    npts = len(caps)
+    S = np.empty((tape.n_slots, npts), dtype=float)
+    for ins in tape.code:
+        op = ins[0]
+        if op == G._I_ADD:
+            np.add(
+                S[ins[2]], G._term_values(ins[3], ins[4], arrs),
+                out=S[ins[1]],
+            )
+        elif op == G._I_MAX:
+            np.maximum(S[ins[2]], S[ins[3]], out=S[ins[1]])
+        elif op == G._I_CONST:
+            S[ins[1]] = G._term_values(ins[2], ins[3], arrs)
+        elif op == G._I_ADDS:
+            np.add(S[ins[2]], S[ins[3]], out=S[ins[1]])
+        else:  # _I_STALL
+            np.subtract(S[ins[3]], S[ins[4]], out=S[ins[1]])
+            np.add(S[ins[2]], S[ins[1]], out=S[ins[1]])
+    mk = S[tape.makespan_slot].copy()
+    st = S[tape.stall_slot].copy()
+    by_kind: list = [[] for _ in range(7)]
+    for con in tape.cons:
+        by_kind[con[0]].append(con)
+    ok = np.ones(npts, dtype=bool)
+    for kind in (G._C_LE, G._C_LT, G._C_EQ, G._C_NE, G._C_CLAMP):
+        rows = by_kind[kind]
+        for i in range(0, len(rows), 512):
+            chunk = rows[i : i + 512]
+            a = S[np.fromiter((c[1] for c in chunk), dtype=np.intp)]
+            b = S[np.fromiter((c[2] for c in chunk), dtype=np.intp)]
+            if kind == G._C_LE:
+                res = a <= b
+            elif kind == G._C_LT:
+                res = a < b
+            elif kind == G._C_EQ:
+                res = a == b
+            elif kind == G._C_NE:
+                res = a != b
+            else:  # _C_CLAMP
+                res = (a < b) & (a >= b - G._PAST_TOL)
+            ok &= res.all(axis=0)
+    cap_rows = by_kind[G._C_CAP]
+    if cap_rows:
+        counts = np.fromiter((c[1] for c in cap_rows), dtype=np.int64)
+        observed = np.fromiter((c[2] for c in cap_rows), dtype=bool)
+        res = (counts[:, None] >= caps[None, :]) == observed[:, None]
+        ok &= res.all(axis=0)
+    for con in by_kind[G._C_GLPOS]:
+        ok &= (arrs[4] > 0) == con[1]
+    first_fail = [-1] * npts
+    binary = [c for c in tape.cons if c[0] not in (G._C_CAP, G._C_GLPOS)]
+    for pos, (kind, a, b) in enumerate(binary):
+        res = G._check(kind, S[a][None, :], S[b][None, :])[0]
+        for c in np.flatnonzero(~res).tolist():
+            if first_fail[c] < 0:
+                first_fail[c] = pos
+    return ok, mk, st, first_fail
+
+
+@pytest.fixture
+def replay_oracle(monkeypatch):
+    """Diff every :func:`_replay` call against the oracle above.
+
+    Returns the list of checked calls, each a dict: ``n`` columns,
+    ``covered``, the distinct first-failure ``positions`` of the
+    failed columns, whether the draws were a per-column ``matrix``, and
+    the instructions ``run`` against the tape's ``code`` length.
+    """
+    replay = compiled_grid._replay
+    run_code = compiled_grid._run_code
+    calls = []
+    ran = [0]
+
+    def counting_run_code(code, S, lo, hi, arrs):
+        ran[0] += hi - lo
+        run_code(code, S, lo, hi, arrs)
+
+    def checked(tape, arrs, caps):
+        ran[0] = 0
+        ok, mk, st = replay(tape, arrs, caps)
+        want_ok, want_mk, want_st, first_fail = _replay_every_constraint(
+            tape, arrs, caps
+        )
+        assert ok.tolist() == want_ok.tolist()
+        assert mk[ok].tobytes() == want_mk[ok].tobytes()
+        assert st[ok].tobytes() == want_st[ok].tobytes()
+        calls.append({
+            "n": len(caps),
+            "covered": int(ok.sum()),
+            "positions": {
+                p for p, hit in zip(first_fail, ok.tolist())
+                if not hit and p >= 0
+            },
+            "matrix": isinstance(arrs[5], np.ndarray),
+            "run": ran[0],
+            "code": len(tape.code),
+        })
+        return ok, mk, st
+
+    monkeypatch.setattr(compiled_grid, "_run_code", counting_run_code)
+    monkeypatch.setattr(compiled_grid, "_replay", checked)
+    return calls
+
+
+def _bcast_tree():
+    from repro.serve.registry import build
+
+    return build("bcast_tree", {"k": 8}, None)
+
+
+@pytest.mark.parametrize("blocks", ["default", "one_row"])
+def test_replay_drops_columns_in_different_blocks(
+    blocks, replay_oracle, monkeypatch
+):
+    """An o-sweep's uncovered columns fail at different constraints; with
+    one-row blocks each position is its own block."""
+    if blocks == "one_row":
+        monkeypatch.setattr(compiled_grid, "_BLOCK_FIRST", 1)
+        monkeypatch.setattr(compiled_grid, "_BLOCK_ELEMS", 1)
+    monkeypatch.setattr(compiled_grid, "_BREAK_EVEN", 0)
+    pts = [LogPParams(L=6.0, o=0.25 + 7.75 * i / 95, g=4.0, P=8)
+           for i in range(96)]
+    gr = evaluate_grid(compile_programs(_bcast_tree(), 8), pts)
+    assert gr.fallbacks == 0 and len(replay_oracle) >= 2
+    first = replay_oracle[0]
+    assert 0 < first["covered"] < first["n"]
+    assert len(first["positions"]) >= 2
+
+
+def test_replay_returns_early_when_no_column_is_left(replay_oracle):
+    """A tape no column satisfies: the replay stops in a constraint
+    block, before the rest of the code."""
+    prog = compile_programs(_bcast_tree(), 8)
+    ops = compiled_grid._grid_ops(
+        prog, [LogPParams(L=6.0, o=o, g=4.0, P=8) for o in (0.5, 6.0, 7.0)],
+        None, None, None,
+        dict(enforce_capacity=True, hw_barrier_cost=0.0,
+             compute_jitter=None, max_events=50_000_000),
+    )
+    rec, _ = ops.record(0)
+    compiled_grid._replay(rec.tape, *ops.replay_inputs(rec, [1, 2]))
+    [call] = replay_oracle
+    assert call["covered"] == 0
+    assert 0 < call["run"] < call["code"]
+
+
+def test_replay_keeps_every_column_that_passes(replay_oracle):
+    """A grid inside the reference's region: every column passes every
+    block, and the code runs once, up to the output slots."""
+    prog = compile_programs(_bcast_tree(), 8)
+    pts = [LogPParams(L=6.0, o=5.0 + i / 64, g=4.0, P=8) for i in range(8)]
+    gr = evaluate_grid(prog, pts)
+    assert (gr.tapes, gr.fallbacks) == (1, 0)
+    [call] = replay_oracle
+    assert call["covered"] == call["n"] == 7
+    assert call["run"] <= call["code"]
+
+
+def test_replay_drops_draw_matrix_columns_in_seed_grids(replay_oracle):
+    """Drawn and ``FixedLatency`` (``const_axis``) columns both carry a
+    per-column draws matrix; dropped columns leave it too."""
+
+    def factory(p, s):
+        if s % 3 == 0:
+            return FixedLatency(p.L)
+        return JitteredLatency(p.L, scale_frac=0.5, seed=s)
+
+    # Two capacities (ceil(L / g) = 1 and 2), so some columns already
+    # fail the code-free capacity rows.
+    pts = [LogPParams(L=L, o=o, g=4.0, P=4)
+           for L in (4.0, 8.0) for o in (1.0, 2.5)]
+    seeds = list(range(9))
+    res = evaluate_seed_grid(compile_programs(_flood, 4), pts, seeds, factory)
+    for p_i, p in enumerate(pts):
+        for s in seeds:
+            m = LogPMachine(p, latency=factory(p, s), trace=False).run(_flood)
+            c = p_i * len(seeds) + s
+            assert (res.makespans[c], res.total_stall_times[c]) == (
+                m.makespan, m.total_stall_time,
+            )
+    dropped = [c for c in replay_oracle if c["matrix"] and c["positions"]]
+    assert any(0 < c["covered"] for c in dropped)
+    # The first replay of each column group: 23 drawn, 11 fixed columns.
+    assert {23, 11} <= {c["n"] for c in replay_oracle}
+
+
+def test_replay_folded_grid(replay_oracle):
+    """The folded grid replays through the same function."""
+    prog = pipelined_broadcast_program(binomial_tree(64), [0])
+    pts = [LogPParams(L=4.0 + i, o=2.0, g=4.0, P=64) for i in range(16)]
+    gr = evaluate_folded_grid(fold_program(compile_programs(prog, 64)), pts)
+    for i, p in enumerate(pts):
+        m = LogPMachine(p, trace=False).run(prog)
+        assert (gr.makespans[i], gr.total_stall_times[i]) == (
+            m.makespan, m.total_stall_time,
+        )
+    assert replay_oracle and all(c["run"] <= c["code"] for c in replay_oracle)

@@ -105,3 +105,34 @@ class TestRoundTripProbe:
             rtt = stop.value
         assert sent == 5
         assert rtt == 10.0
+
+
+class TestOverheadProbe:
+    def test_o_is_the_median_of_warm_sends(self):
+        """Rank 0's program driven by hand: each Send takes the next of
+        ``durations`` time units.  The cold first Send (50) stays out;
+        the four timed ones give their median."""
+        from repro.machines.fit import _OverheadProbe
+        from repro.sim.program import Now, Recv, Send
+
+        durations = iter([50.0, 3.0, 2.0, 2.0, 9.0])
+        clock = 0.0
+        prog = _OverheadProbe(4)(0, 2)
+        op = next(prog)
+        sent = 0
+        try:
+            while True:
+                if isinstance(op, Now):
+                    op = prog.send(clock)
+                elif isinstance(op, Send):
+                    sent += 1
+                    clock += next(durations)
+                    op = prog.send(None)
+                else:
+                    assert isinstance(op, Recv)
+                    clock += 7.0
+                    op = prog.send(None)
+        except StopIteration as stop:
+            o = stop.value
+        assert sent == 5
+        assert o == 2.5
